@@ -17,8 +17,8 @@ use dpcons_core::{
 };
 use dpcons_ir::{install, IrError, Module};
 use dpcons_sim::{
-    AllocKind, ArrayId, Engine, ExecRecord, GpuConfig, KernelId, LaunchSpec, ProfileReport,
-    SimError,
+    AllocKind, ArrayId, CaptureArena, Engine, ExecRecord, GpuConfig, KernelId, LaunchSpec,
+    ProfileReport, SimError,
 };
 
 /// `app.host_launches` counter: every host-side kernel launch made through a
@@ -296,24 +296,18 @@ impl VariantSession {
     }
 
     /// Run one launch through the engine and fold its profile into the
-    /// session total. In capture mode the launch goes through the explicit
-    /// capture → replay split (semantically identical to [`Engine::launch`])
-    /// and the record DAG is kept for later cross-device re-timing.
+    /// session total. In capture mode the launch runs on its own arena
+    /// (the same path as [`Engine::launch`]) and the arena's record DAG is
+    /// kept for later cross-device re-timing.
     fn run_spec(&mut self, spec: LaunchSpec) -> Result<(), AppError> {
         let _span = dpcons_obs::span("app.launch");
         host_launches_counter().inc();
         let report = match &mut self.captures {
             None => self.engine.launch(spec)?,
             Some(log) => {
-                // Per-launch allocator delta, mirroring `Engine::launch_traced`,
-                // so per-launch reports merge additively.
-                let allocs_before = self.engine.heap.stats.allocs;
-                let alloc_cycles_before = self.engine.heap.stats.alloc_cycles;
-                let records = self.engine.capture(spec)?;
-                let mut report = self.engine.replay_timing(&records);
-                report.alloc_ops = self.engine.heap.stats.allocs - allocs_before;
-                report.alloc_cycles = self.engine.heap.stats.alloc_cycles - alloc_cycles_before;
-                log.push(records);
+                let mut arena = CaptureArena::new();
+                let report = self.engine.capture_into(spec, &mut arena)?;
+                log.push(arena.take_records());
                 report
             }
         };

@@ -3,8 +3,8 @@
 //! ```text
 //! reproduce [fig5] [fig6] [fig7] [fig8] [fig9] [fig10] [ablations] [verify]
 //!           [tune] [fleet] [micro] [all] [--tune] [--fleet] [--devices a,b,c]
-//!           [--profile test|bench] [--engine bytecode|tree] [--markdown]
-//!           [--json PATH] [--trace PATH] [--metrics] [--quiet] [--strict]
+//!           [--profile test|bench] [--markdown] [--json PATH]
+//!           [--trace PATH] [--metrics] [--quiet] [--strict]
 //! ```
 //!
 //! With no figure argument, everything except the tuning and fleet sweeps
@@ -26,16 +26,11 @@
 //! It writes `BENCH_fleet.json`: the knobs × device cycle matrix, per-device
 //! winners, and per-app transfer regret.
 //!
-//! The `micro` experiment (not part of the default set) times the pipeline
-//! stages — capture on the active executor and on the legacy tree-walker,
-//! timing replay, consolidated functional run, tuner sweep — per app and
-//! writes `BENCH_micro.json`, the repo's host wall-clock trajectory record.
-//!
-//! `--engine bytecode|tree` forces the functional executor for the whole run
-//! (equivalent to setting `DPCONS_INTERP`): `bytecode` is the flat lowered VM
-//! (the default), `tree` the legacy tree-walking interpreter kept as the
-//! differential oracle. Both produce bit-identical results; only host
-//! wall-clock differs.
+//! Every kernel runs on the bytecode VM. The `micro` experiment (not part of
+//! the default set) times the pipeline stages — capture on the VM and on the
+//! tree-walking oracle (which must agree cycle for cycle), timing replay,
+//! consolidated functional run, tuner sweep — per app and writes
+//! `BENCH_micro.json`, the repo's host wall-clock trajectory record.
 //!
 //! Observability: `--trace PATH` records spans from every stage of the run
 //! and writes a Chrome trace-event JSON (load it in Perfetto or
@@ -71,9 +66,9 @@ use dpcons_sim::parse_fleet;
 fn usage_err(msg: &str) -> ! {
     eprintln!("reproduce: {msg}");
     eprintln!(
-        "usage: reproduce [experiments...] [--profile test|bench] \
-         [--engine bytecode|tree] [--markdown] [--json PATH] [--tune] [--fleet] \
-         [--devices a,b,c] [--trace PATH] [--metrics] [--quiet] [--strict]"
+        "usage: reproduce [experiments...] [--profile test|bench] [--markdown] \
+         [--json PATH] [--tune] [--fleet] [--devices a,b,c] [--trace PATH] [--metrics] \
+         [--quiet] [--strict]"
     );
     std::process::exit(ErrorClass::Usage.exit_code());
 }
@@ -99,13 +94,6 @@ fn main() {
                 Some("bench") => profile = Profile::Bench,
                 other => usage_err(&format!("unknown profile {other:?}")),
             },
-            "--engine" => match it.next().map(String::as_str) {
-                Some("bytecode") => {
-                    dpcons_ir::set_engine_override(Some(dpcons_ir::ExecEngine::Bytecode))
-                }
-                Some("tree") => dpcons_ir::set_engine_override(Some(dpcons_ir::ExecEngine::Tree)),
-                other => usage_err(&format!("unknown engine {other:?} (expected bytecode|tree)")),
-            },
             "--markdown" => markdown = true,
             "--quiet" => quiet = true,
             "--strict" => strict = true,
@@ -124,6 +112,7 @@ fn main() {
                 Some(s) => devices_spec = s.clone(),
                 None => usage_err("--devices needs a comma-separated device list"),
             },
+            f if f.starts_with("--") => usage_err(&format!("unknown flag `{f}`")),
             f => figs.push(f.to_string()),
         }
     }

@@ -1,8 +1,8 @@
 //! `reproduce micro` — host wall-clock trajectory of the pipeline stages.
 //!
 //! Times the named stages of the reproduction pipeline — functional capture
-//! (on the active executor **and** on the legacy tree-walker, so every record
-//! carries its own before/after pair for the bytecode VM), timing replay
+//! (on the bytecode VM **and** on the tree-walking oracle, so every record
+//! carries its own before/after pair for the VM), timing replay
 //! (serial **and** batched-parallel, another before/after pair),
 //! consolidated functional execution, and a budgeted tuner sweep — across the
 //! seven apps, and writes `BENCH_micro.json` so the repository accumulates a
@@ -18,7 +18,7 @@ use std::time::Instant;
 
 use dpcons_apps::{all_benchmarks, Benchmark, Profile, RunConfig, Variant};
 use dpcons_core::{Granularity, KnobSpace};
-use dpcons_ir::{engine_choice, engine_override, set_engine_override, ExecEngine};
+use dpcons_ir::{set_engine_override, ExecEngine};
 use dpcons_sim::ExecRecord;
 use dpcons_tune::{merge_reports, replay_timing_many, tune, Budget, TuneOptions};
 
@@ -31,9 +31,9 @@ pub struct StageTiming {
     /// Stage name: `capture`, `capture_tree`, `replay_timing`,
     /// `replay_parallel`, `grid_functional`, `tune_waves`.
     pub stage: &'static str,
-    /// Functional executor that produced this stage's work: `"bytecode"` or
-    /// `"tree"` (the `capture_tree` stage always forces the tree-walker; the
-    /// other stages run on the ambient [`engine_choice`]).
+    /// Functional executor that produced this stage's work: `"tree"` for the
+    /// `capture_tree` stage (the oracle, forced with [`set_engine_override`]),
+    /// `"bytecode"` for every other stage.
     pub engine: &'static str,
     /// Host wall-clock milliseconds. Machine-dependent; excluded from any
     /// deterministic comparison.
@@ -81,7 +81,7 @@ fn timed_best<T>(mut f: impl FnMut() -> T) -> (T, f64) {
 /// functional run → budgeted tuner sweep, each stage timed separately.
 pub fn micro_app(app: &dyn Benchmark, cfg: &RunConfig) -> MicroResult {
     let _span = dpcons_obs::span("micro.app");
-    let ambient = engine_choice().label();
+    let ambient = ExecEngine::Bytecode.label();
     let mut stages = Vec::new();
 
     // Stage 1: functional capture of the basic-dp variant (the paper's
@@ -108,18 +108,17 @@ pub fn micro_app(app: &dyn Benchmark, cfg: &RunConfig) -> MicroResult {
     });
     let caps = out.captures.clone().expect("capture was enabled");
 
-    // Stage 2: the identical capture through the legacy tree-walking
-    // interpreter — the before/after pair that tracks the bytecode VM's
-    // speedup and pins both executors to the same deterministic cycle count
-    // (CI compares this stage's `cycles` against stage 1's).
-    let prev = engine_override();
+    // Stage 2: the identical capture through the tree-walking oracle — the
+    // before/after pair that tracks the bytecode VM's speedup and pins both
+    // executors to the same deterministic cycle count (CI compares this
+    // stage's `cycles` against stage 1's).
     set_engine_override(Some(ExecEngine::Tree));
     let (tree_out, wall_ms) = timed_best(|| {
         app.run(Variant::BasicDp, &capture_cfg).unwrap_or_else(|e| {
             panic!("micro tree-walker capture of {} failed: {e}", app.name());
         })
     });
-    set_engine_override(prev);
+    set_engine_override(None);
     stages.push(StageTiming {
         stage: "capture_tree",
         engine: ExecEngine::Tree.label(),
@@ -251,7 +250,7 @@ pub fn micro_json(profile: Profile, cfg: &RunConfig, results: &[MicroResult]) ->
             }),
         ),
         ("gpu".into(), Json::s(cfg.gpu.name.clone())),
-        ("engine".into(), Json::s(engine_choice().label())),
+        ("engine".into(), Json::s(ExecEngine::Bytecode.label())),
         ("apps".into(), Json::Arr(apps)),
     ])
 }

@@ -41,6 +41,11 @@ const COUNTER_SLOTS: usize = 26;
 ///   launch of the annotated kernel.
 /// * `original_config` — the original `(grid, block)` host configuration.
 /// * `pool_words` — capacity of the grid-level pool when one is needed.
+///
+/// A grid-level pool smaller than the words the transformed kernels can
+/// address fails here with [`SimError::HeapExhausted`] (kind
+/// `__cons_pool`), before anything is allocated or launched, instead of as
+/// an out-of-bounds fault mid-run.
 pub fn prepare_launch(
     engine: &mut Engine,
     info: &TransformInfo,
@@ -50,6 +55,17 @@ pub fn prepare_launch(
     pool_words: u64,
 ) -> Result<PreparedLaunch, SimError> {
     let entry_id = *ids.get(&info.entry).ok_or(SimError::UnknownKernel { id: usize::MAX })?;
+    let parent_threads = original_config.0 as u64 * original_config.1 as u64;
+    if let Some(needed) = info.pool_words_needed(parent_threads) {
+        if needed > pool_words {
+            return Err(SimError::HeapExhausted {
+                kind: "__cons_pool",
+                requested: needed,
+                capacity: pool_words,
+                in_use: 0,
+            });
+        }
+    }
 
     if !info.recursive {
         let mut args = original_args.to_vec();

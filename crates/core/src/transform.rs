@@ -40,6 +40,10 @@ pub struct GridExtras {
     pub level_param: Option<String>,
     /// Word stride between per-level buffers in the pool (recursion).
     pub level_stride: i64,
+    /// Whether every parent thread inserts at most one work item (irregular
+    /// loops whose launch sits outside any loop), which bounds the pool by
+    /// the parent grid's thread count.
+    pub(crate) one_item_per_thread: bool,
 }
 
 /// Everything the host runtime needs to launch the consolidated code.
@@ -64,6 +68,22 @@ pub struct TransformInfo {
     /// Static `(blocks, threads)` when the policy is static.
     pub resolved_config: Option<(u32, u32)>,
     pub grid_extras: Option<GridExtras>,
+}
+
+impl TransformInfo {
+    /// Pool words the grid-level kernels can address when the original
+    /// host launch runs `parent_threads` threads: `GRID_LEVELS` level
+    /// buffers of `level_stride` words for recursion; for irregular loops
+    /// the count word plus `nv` words per item, at most one item per parent
+    /// thread. `None` when there is no pool, or when a loop around the
+    /// launch leaves the item count without a static bound.
+    pub(crate) fn pool_words_needed(&self, parent_threads: u64) -> Option<u64> {
+        let extras = self.grid_extras.as_ref()?;
+        if self.recursive {
+            return Some(GRID_LEVELS as u64 * extras.level_stride as u64);
+        }
+        extras.one_item_per_thread.then(|| 1 + parent_threads * self.nv as u64)
+    }
 }
 
 /// Result of consolidation: the rewritten module plus launch metadata.
@@ -387,6 +407,7 @@ impl<'a> Ctx<'a> {
                     counter_param: "__cons_counter".into(),
                     level_param: None,
                     level_stride: 0,
+                    one_item_per_thread: !launch_in_loop(&self.parent.body, false),
                 });
                 body.push(let_("__cons_buf", v("__cons_pool")));
                 body.push(let_("__cons_off", i(0)));
@@ -515,6 +536,7 @@ impl<'a> Ctx<'a> {
                     counter_param: "__cons_counter".into(),
                     level_param: Some("__cons_level".into()),
                     level_stride: stride,
+                    one_item_per_thread: false,
                 });
                 prologue.push(let_("__cons_buf", v("__cons_pool")));
                 prologue.push(let_("__cons_off", mul(v("__cons_level"), i(stride))));
@@ -650,6 +672,17 @@ impl<'a> Ctx<'a> {
             },
         })
     }
+}
+
+/// Whether a launch in `stmts` sits inside a loop (`in_loop` says whether
+/// `stmts` itself is a loop body).
+fn launch_in_loop(stmts: &[Stmt], in_loop: bool) -> bool {
+    stmts.iter().any(|s| match s {
+        Stmt::Launch { .. } => in_loop,
+        Stmt::If(_, t, e) => launch_in_loop(t, in_loop) || launch_in_loop(e, in_loop),
+        Stmt::While(_, body) | Stmt::For { body, .. } => launch_in_loop(body, true),
+        _ => false,
+    })
 }
 
 // ----------------------------------------------------------------------

@@ -4,7 +4,8 @@
 //! not per block — into a flat `Vec<Op>` with explicit jump targets:
 //! `If`/`While`/`For` become conditional branches over pre-resolved register
 //! indices, short-circuit `&&`/`||` become mask-switching skip branches, and
-//! per-statement ops-costs are folded into `Charge`/`LoopIter` opcodes. The
+//! per-statement ops-costs are folded into `Charge`/`LoopIter` opcodes; a
+//! peephole pass then fuses value-chained adjacent pairs into superops. The
 //! VM then executes each warp as a tight `pc`-dispatch loop with no
 //! recursion, no boxed-node matching, and no per-statement allocation.
 //!
@@ -28,8 +29,7 @@
 //! fuel accounting across all apps and variants.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use dpcons_sim::{BlockCtx, BlockResult, KernelId, LaunchSpec, SimError};
 
@@ -37,48 +37,12 @@ use crate::ast::{AllocScope, AtomicOp, BinOp, UnOp};
 use crate::compile::{CExpr, CKernel, CModule, CStmt};
 use crate::interp::{
     assemble_block, charge_group_from_addrs, launch_dim, resolve_addr, scalar_binop,
-    scalar_binop_total, Boundary, Chunk, Lanes, MAX_WARP_ITERATIONS, WARP_ITER_LIMIT_MSG,
+    scalar_binop_total, Boundary, Chunk, Lanes, CAS_WITHOUT_DESIRED_MSG, MAX_WARP_ITERATIONS,
+    WARP_ITER_LIMIT_MSG,
 };
 
 /// Sentinel register index meaning "absent" (`Atomic.old`, `Atomic.v2`).
 const NONE_REG: u16 = u16::MAX;
-
-// ------------------------------------------------------------------------
-// Peephole-fusion gate.
-// ------------------------------------------------------------------------
-
-/// Process-wide fusion override: 0 = none (env decides), 1 = on, 2 = off.
-static FUSE_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-fn env_fuse() -> bool {
-    static ENV: OnceLock<bool> = OnceLock::new();
-    *ENV.get_or_init(|| !matches!(std::env::var("DPCONS_FUSE").as_deref(), Ok("off") | Ok("0")))
-}
-
-/// Whether `lower_kernel` runs the peephole-fusion pass: the process-wide
-/// override if set, else `DPCONS_FUSE` (`off`/`0` disables; anything else —
-/// including unset — enables). Fusion happens at **install** (lowering time),
-/// so flipping this affects subsequently-installed modules only.
-pub fn fusion_enabled() -> bool {
-    match FUSE_OVERRIDE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => env_fuse(),
-    }
-}
-
-/// Force fusion on/off for subsequently-lowered modules (`None` restores
-/// `DPCONS_FUSE`/default selection). Process-global, like
-/// [`crate::interp::set_engine_override`]: differential tests flip it around
-/// `install` to pin unfused bytecode as a third oracle.
-pub fn set_fusion_override(on: Option<bool>) {
-    let v = match on {
-        None => 0,
-        Some(true) => 1,
-        Some(false) => 2,
-    };
-    FUSE_OVERRIDE.store(v, Ordering::Relaxed);
-}
 
 /// Warp-invariant special values (lane-indexed at execution time).
 #[derive(Debug, Clone, Copy)]
@@ -136,7 +100,7 @@ pub(crate) enum Op {
     Compute { units: u16 },
     /// Per-active-lane device-side child launch; `n_args` consecutive
     /// registers starting at `args_at` hold the argument vector.
-    Launch { target: u16, grid: u16, block: u16, args_at: u16, n_args: u16 },
+    Launch { target: usize, grid: u16, block: u16, args_at: u16, n_args: u16 },
     /// `__syncthreads`: cut a phase boundary.
     Sync,
     /// `cudaDeviceSynchronize`: cut a segment boundary.
@@ -179,7 +143,7 @@ pub(crate) enum Op {
     // --- Fused pairs (see `fuse_ops`). Each fused op executes its two
     // --- constituents back-to-back — including every register write, fault
     // --- check, and cost charge, in the original order — so captures are
-    // --- bit-identical with fusion on or off; the win is one dispatch.
+    // --- bit-identical to the unfused pair's; the win is one dispatch.
     /// `Load`→`Bin`: `t = mem[h[i]]`, then `dst = t op other`
     /// (`load_lhs`) or `dst = other op t` (total ops only).
     LoadBin { t: u16, h: u16, i: u16, dst: u16, op: BinOp, other: u16, load_lhs: bool },
@@ -230,9 +194,7 @@ pub fn lower_kernel(k: &CKernel) -> ByteKernel {
     let end = lw.pc();
     lw.patch_checks(checks, end);
     let mut ops = lw.ops;
-    if fusion_enabled() {
-        fuse_ops(&mut ops);
-    }
+    fuse_ops(&mut ops);
     ByteKernel { ops, n_slots: k.n_slots, n_regs: lw.max_tp, n_masks: lw.max_masks }
 }
 
@@ -663,9 +625,8 @@ impl Lowerer {
                     let dst = self.alloc_temp();
                     self.lower_expr_into(a, dst);
                 }
-                let target = u16::try_from(*target).expect("module kernel index fits u16");
                 self.emit(Op::Launch {
-                    target,
+                    target: *target,
                     grid: rg,
                     block: rb,
                     args_at,
@@ -1166,6 +1127,9 @@ impl Vm<'_, '_, '_> {
                     self.store_sites(v);
                 }
                 Op::Atomic { op, old, h, i, v, v2 } => {
+                    if op == AtomicOp::Cas && v2 == NONE_REG {
+                        return Err(self.fault(CAS_WITHOUT_DESIRED_MSG));
+                    }
                     self.group_cost(h, i)?;
                     // Atomics serialize across lanes.
                     let n = self.mask.count_ones() as u64;
@@ -1227,7 +1191,7 @@ impl Vm<'_, '_, '_> {
                 Op::Launch { target, grid, block, args_at, n_args } => {
                     let lc = self.ctx.cost.device_launch_cycles;
                     let (gb, bb) = (grid as usize, block as usize);
-                    let kid = self.ids[target as usize];
+                    let kid = self.ids[target];
                     // One child grid per active lane; launches serialize, and
                     // each lane is only active during its own launch.
                     for_lanes!(self.mask, l, {

@@ -189,7 +189,12 @@ impl<'m> Scope<'m> {
     fn declare(&mut self, name: &str) -> u16 {
         let slot = self.n_slots;
         self.n_slots += 1;
-        self.locals.last_mut().unwrap().insert(name.to_string(), slot);
+        match self.locals.last_mut() {
+            Some(scope) => {
+                scope.insert(name.to_string(), slot);
+            }
+            None => self.locals.push(HashMap::from([(name.to_string(), slot)])),
+        }
         slot
     }
 

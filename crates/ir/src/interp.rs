@@ -1,5 +1,6 @@
-//! Warp-lockstep SIMT interpretation: engine selection, the tree-walking
-//! reference executor, and the shared trace/assembly machinery.
+//! Warp-lockstep SIMT interpretation: installation, the oracle selector,
+//! the tree-walking reference executor, and the shared trace/assembly
+//! machinery.
 //!
 //! Each warp executes the compiled kernel over 32-lane value vectors with an
 //! active mask, exactly like SIMT hardware:
@@ -21,18 +22,18 @@
 //!
 //! Two executors implement these semantics over the same compiled module:
 //!
-//! * the **bytecode VM** ([`crate::bytecode`]) — the default hot path: each
-//!   kernel is lowered once into a flat `Vec<Op>` with explicit jump targets
-//!   and executed over a flat SoA register file,
+//! * the **bytecode VM** ([`crate::bytecode`]) — the executor: each kernel
+//!   is lowered once at [`install`] into flat, peephole-fused bytecode with
+//!   explicit jump targets and executed over a flat SoA register file,
 //! * the **tree walker** (this module) — the readable reference
-//!   implementation, kept as the differential oracle and reachable via
-//!   `DPCONS_INTERP=tree` (or [`set_engine_override`]).
+//!   implementation, kept as the one independent oracle and reachable only
+//!   through the process-wide [`set_engine_override`].
 //!
 //! Both funnel their warp traces through the same [`assemble_block`], so the
 //! segment/phase assembly cannot diverge between them.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use dpcons_sim::{
@@ -51,6 +52,10 @@ pub(crate) const MAX_WARP_ITERATIONS: u64 = 200_000_000;
 /// Fault message for the safety valve — identical in both executors.
 pub(crate) const WARP_ITER_LIMIT_MSG: &str = "warp exceeded the loop-iteration safety limit";
 
+/// Fault message for an `atomicCAS` built without its desired value —
+/// identical in both executors.
+pub(crate) const CAS_WITHOUT_DESIRED_MSG: &str = "atomicCAS has no desired value";
+
 pub(crate) type Lanes = [i64; 32];
 
 // ------------------------------------------------------------------------
@@ -60,9 +65,9 @@ pub(crate) type Lanes = [i64; 32];
 /// Which functional executor runs compiled kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecEngine {
-    /// Flat bytecode VM over a SoA register file (the default hot path).
+    /// Flat bytecode VM over a SoA register file (the executor).
     Bytecode,
-    /// Recursive tree walker over `CStmt`/`CExpr` (reference oracle).
+    /// Recursive tree walker over `CStmt`/`CExpr` (the reference oracle).
     Tree,
 }
 
@@ -76,49 +81,17 @@ impl ExecEngine {
     }
 }
 
-/// Process-wide override: 0 = none (env decides), 1 = bytecode, 2 = tree.
-static ENGINE_OVERRIDE: AtomicU8 = AtomicU8::new(0);
+/// Set while the process-wide override routes launches to the tree walker.
+static TREE_ORACLE: AtomicBool = AtomicBool::new(false);
 
-fn env_engine() -> ExecEngine {
-    static ENV: OnceLock<ExecEngine> = OnceLock::new();
-    *ENV.get_or_init(|| match std::env::var("DPCONS_INTERP").as_deref() {
-        Ok("tree") => ExecEngine::Tree,
-        _ => ExecEngine::Bytecode,
-    })
-}
-
-/// The executor used by kernels installed without an explicit pin: the
-/// process-wide override if set, else `DPCONS_INTERP` (`tree` selects the
-/// tree walker; anything else — including unset — selects the bytecode VM).
-pub fn engine_choice() -> ExecEngine {
-    match ENGINE_OVERRIDE.load(Ordering::Relaxed) {
-        1 => ExecEngine::Bytecode,
-        2 => ExecEngine::Tree,
-        _ => env_engine(),
-    }
-}
-
-/// Current process-wide override, if any (see [`set_engine_override`]).
-pub fn engine_override() -> Option<ExecEngine> {
-    match ENGINE_OVERRIDE.load(Ordering::Relaxed) {
-        1 => Some(ExecEngine::Bytecode),
-        2 => Some(ExecEngine::Tree),
-        _ => None,
-    }
-}
-
-/// Force every subsequently-launched kernel onto one executor (`None`
-/// restores `DPCONS_INTERP`/default selection). Process-global: callers that
-/// flip it around a measurement must restore the previous value and must not
-/// run concurrently with other launches they don't want affected — tests that
-/// need per-run pinning should use [`install_with_engine`] instead.
+/// Route every subsequently-executed block onto one executor; `None` (or
+/// `Some(Bytecode)`) restores the bytecode VM. The override is read per
+/// block and is process-global: callers that flip it around a measurement
+/// (the parity tests, the `capture_tree` stage of `reproduce micro`) must
+/// restore it and serialize against other launches they don't want
+/// affected.
 pub fn set_engine_override(engine: Option<ExecEngine>) {
-    let v = match engine {
-        None => 0,
-        Some(ExecEngine::Bytecode) => 1,
-        Some(ExecEngine::Tree) => 2,
-    };
-    ENGINE_OVERRIDE.store(v, Ordering::Relaxed);
+    TREE_ORACLE.store(engine == Some(ExecEngine::Tree), Ordering::Relaxed);
 }
 
 // ------------------------------------------------------------------------
@@ -293,8 +266,6 @@ pub struct IrKernelBody {
     idx: usize,
     /// Engine kernel ids for every module kernel, filled after registration.
     ids: Arc<OnceLock<Vec<KernelId>>>,
-    /// Per-install executor pin; `None` follows [`engine_choice`].
-    engine: Option<ExecEngine>,
 }
 
 /// Compile `module` and register every kernel with the engine. Returns the
@@ -302,17 +273,6 @@ pub struct IrKernelBody {
 pub fn install(
     engine: &mut dpcons_sim::Engine,
     module: &Module,
-) -> Result<HashMap<String, KernelId>, IrError> {
-    install_with_engine(engine, module, None)
-}
-
-/// Like [`install`], but pins every kernel of this module to one executor
-/// regardless of `DPCONS_INTERP` or the process-wide override. Tests use this
-/// to run both executors side by side without global state.
-pub fn install_with_engine(
-    engine: &mut dpcons_sim::Engine,
-    module: &Module,
-    exec: Option<ExecEngine>,
 ) -> Result<HashMap<String, KernelId>, IrError> {
     let cm = Arc::new(compile_module(module)?);
     let bc = Arc::new(lower_module(&cm));
@@ -325,12 +285,12 @@ pub fn install_with_engine(
             bytecode: Arc::clone(&bc),
             idx: i,
             ids: Arc::clone(&ids),
-            engine: exec,
         }));
         map.insert(cm.kernels[i].name.clone(), id);
         vec_ids.push(id);
     }
-    ids.set(vec_ids).expect("ids set exactly once");
+    // `ids` was created empty above, so this first `set` always succeeds.
+    let _ = ids.set(vec_ids);
     Ok(map)
 }
 
@@ -363,11 +323,10 @@ impl KernelBody for IrKernelBody {
             kernel: k.name.clone(),
             message: "module not fully installed before launch".to_string(),
         })?;
-        match self.engine.unwrap_or_else(engine_choice) {
-            ExecEngine::Bytecode => {
-                crate::bytecode::run_block(k, &self.bytecode[self.idx], ids, ctx)
-            }
-            ExecEngine::Tree => run_block_tree(k, ids, ctx),
+        if TREE_ORACLE.load(Ordering::Relaxed) {
+            run_block_tree(k, ids, ctx)
+        } else {
+            crate::bytecode::run_block(k, &self.bytecode[self.idx], ids, ctx)
         }
     }
 }
@@ -503,8 +462,11 @@ impl WarpExec<'_, '_, '_> {
                 let idx = self.eval(index, mask)?;
                 let val = self.eval(value, mask)?;
                 let val2 = match value2 {
-                    Some(v) => Some(self.eval(v, mask)?),
-                    None => None,
+                    Some(v) => self.eval(v, mask)?,
+                    None if *op == AtomicOp::Cas => {
+                        return Err(self.fault(CAS_WITHOUT_DESIRED_MSG));
+                    }
+                    None => [0; 32],
                 };
                 self.mem_group_cost(&h, &idx, mask)?;
                 // Atomics serialize across lanes.
@@ -520,10 +482,7 @@ impl WarpExec<'_, '_, '_> {
                             AtomicOp::Min => self.ctx.mem.atomic_min(a, i, val[l])?,
                             AtomicOp::Max => self.ctx.mem.atomic_max(a, i, val[l])?,
                             AtomicOp::Exch => self.ctx.mem.atomic_exch(a, i, val[l])?,
-                            AtomicOp::Cas => {
-                                let desired = val2.as_ref().expect("cas has value2")[l];
-                                self.ctx.mem.atomic_cas(a, i, val[l], desired)?
-                            }
+                            AtomicOp::Cas => self.ctx.mem.atomic_cas(a, i, val[l], val2[l])?,
                         };
                     }
                 }
@@ -934,8 +893,8 @@ pub(crate) fn assemble_block(
             segments[si].duration = chunks.iter().map(|c| c.cycles).sum::<u64>()
                 + sync_cost * chunks.len().saturating_sub(1) as u64;
         }
-        let last = chunks.last().expect("segments are non-empty");
-        segments[si].ends_with_device_sync = last.boundary == Boundary::DeviceSync;
+        segments[si].ends_with_device_sync =
+            chunks.last().is_some_and(|c| c.boundary == Boundary::DeviceSync);
     }
 
     Ok(BlockResult { segments })
@@ -943,15 +902,16 @@ pub(crate) fn assemble_block(
 
 /// Split a warp trace into device-sync segments of sync-phase chunks.
 fn split_segments(trace: &[Chunk]) -> Vec<Vec<&Chunk>> {
-    let mut out: Vec<Vec<&Chunk>> = vec![Vec::new()];
+    let mut out: Vec<Vec<&Chunk>> = Vec::new();
+    let mut cur: Vec<&Chunk> = Vec::new();
     for c in trace {
-        out.last_mut().unwrap().push(c);
+        cur.push(c);
         if c.boundary == Boundary::DeviceSync {
-            out.push(Vec::new());
+            out.push(std::mem::take(&mut cur));
         }
     }
-    if out.last().is_some_and(Vec::is_empty) && out.len() > 1 {
-        out.pop();
+    if !cur.is_empty() || out.is_empty() {
+        out.push(cur);
     }
     out
 }

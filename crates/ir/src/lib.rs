@@ -1,19 +1,23 @@
-//! # dpcons-ir — kernel IR, builder, SIMT interpreter, CUDA emitter
+//! # dpcons-ir — kernel IR, builder, SIMT executor, CUDA emitter
 //!
 //! The program representation that the workload-consolidation compiler
 //! (`dpcons-core`) transforms, together with:
 //!
 //! * [`dsl`] — ergonomic AST constructors mirroring CUDA C,
 //! * [`compile`] — name resolution, scoping, launch-target validation,
-//! * [`interp`] — warp-lockstep SIMT execution on the `dpcons-sim` engine
-//!   (engine selection, the tree-walking reference executor, and the shared
-//!   trace assembly), producing warp-efficiency / DRAM / launch metrics per
-//!   block segment,
-//! * [`bytecode`] — the flat bytecode lowering + VM that serves as the
-//!   default functional executor (`DPCONS_INTERP=tree` restores the tree
-//!   walker),
+//! * [`bytecode`] — the functional executor: each kernel is lowered once at
+//!   [`install`] into flat, peephole-fused bytecode and run by a warp-lockstep
+//!   VM on the `dpcons-sim` engine,
+//! * [`interp`] — installation, the shared trace assembly that turns warp
+//!   traces into warp-efficiency / DRAM / launch metrics per block segment,
+//!   and the tree-walking reference oracle, reachable only through
+//!   [`set_engine_override`] (the parity tests and `reproduce micro` use it),
 //! * [`printer`] — CUDA-flavoured source emission (the compiler is
 //!   source-to-source in the paper; golden tests pin the generated code).
+
+// Installation must report bad modules as `IrError`s and bad programs as
+// kernel faults, never panic: non-test code may not `unwrap`/`expect`.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod ast;
 pub mod bytecode;
@@ -26,12 +30,9 @@ pub use ast::{
     expr_refs, stmt_exprs, visit_expr, visit_stmts, AllocScope, AtomicOp, BinOp, Expr, Kernel,
     Module, Param, ParamKind, Stmt, UnOp,
 };
-pub use bytecode::{fusion_enabled, lower_kernel, lower_module, set_fusion_override, ByteKernel};
+pub use bytecode::{lower_kernel, lower_module, ByteKernel};
 pub use compile::{compile_kernel, compile_module, CExpr, CKernel, CModule, CStmt, IrError};
-pub use interp::{
-    engine_choice, engine_override, install, install_with_engine, set_engine_override, ExecEngine,
-    IrKernelBody,
-};
+pub use interp::{install, set_engine_override, ExecEngine, IrKernelBody};
 pub use printer::{expr_to_string, kernel_to_string, module_to_string};
 
 #[cfg(test)]

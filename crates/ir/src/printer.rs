@@ -89,23 +89,17 @@ fn emit_stmts(out: &mut String, stmts: &[Stmt], indent: usize) {
                 );
             }
             Stmt::Atomic { op, old, handle, index, value, value2 } => {
-                let call = match op {
-                    AtomicOp::Cas => format!(
-                        "{}(&{}[{}], {}, {})",
-                        atomic_name(*op),
-                        expr_to_string(handle),
-                        expr_to_string(index),
-                        expr_to_string(value),
-                        expr_to_string(value2.as_ref().expect("cas has desired value")),
-                    ),
-                    _ => format!(
-                        "{}(&{}[{}], {})",
-                        atomic_name(*op),
-                        expr_to_string(handle),
-                        expr_to_string(index),
-                        expr_to_string(value),
-                    ),
-                };
+                let mut call = format!(
+                    "{}(&{}[{}], {}",
+                    atomic_name(*op),
+                    expr_to_string(handle),
+                    expr_to_string(index),
+                    expr_to_string(value),
+                );
+                if let (AtomicOp::Cas, Some(desired)) = (op, value2) {
+                    call += &format!(", {}", expr_to_string(desired));
+                }
+                call.push(')');
                 match old {
                     Some(n) => {
                         let _ = writeln!(out, "{pad}long {n} = {call};");

@@ -1,20 +1,35 @@
 //! Differential testing of the SIMT interpreter: random expression trees and
 //! random straight-line programs are executed on the simulator — through
-//! **both** functional executors (the bytecode VM and the legacy tree
-//! walker, pinned per-install) — and compared lane-by-lane against a direct
-//! host-side evaluator.
+//! **both** the bytecode VM and the tree-walking oracle, selected with the
+//! process-wide [`set_engine_override`] under [`ENGINE_LOCK`] — and compared
+//! lane-by-lane against a direct host-side evaluator.
 //!
 //! The offline build has no `proptest`, so case generation is a hand-rolled
 //! deterministic sweep over a seeded `Rng64` stream; failures name the
 //! case index and executor so a run is reproducible.
 
+use std::sync::{Mutex, PoisonError};
+
 use dpcons_ir::ast::{BinOp, Expr, UnOp};
 use dpcons_ir::dsl::*;
-use dpcons_ir::{install_with_engine, ExecEngine, Module};
+use dpcons_ir::{install, set_engine_override, ExecEngine, Module};
 use dpcons_sim::{AllocKind, Engine, GpuConfig, LaunchSpec};
 use dpcons_workloads::rng::Rng64;
 
 const ENGINES: [ExecEngine; 2] = [ExecEngine::Bytecode, ExecEngine::Tree];
+
+/// The engine override is process-global; every test in this binary holds
+/// this lock while it runs on a chosen executor.
+static ENGINE_LOCK: Mutex<()> = Mutex::new(());
+
+/// Run `f` with every launch routed to `exec`, restoring the default after.
+fn on_engine<T>(exec: ExecEngine, f: impl FnOnce() -> T) -> T {
+    let _guard = ENGINE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    set_engine_override(Some(exec));
+    let out = f();
+    set_engine_override(None);
+    out
+}
 
 const BINOPS: [BinOp; 18] = [
     BinOp::Add,
@@ -140,8 +155,11 @@ fn expressions_match_host_oracle() {
         for exec in ENGINES {
             let mut eng = Engine::new(GpuConfig::tiny(), AllocKind::PreAlloc, 1 << 12);
             let out = eng.mem.alloc_array("out", 64);
-            let ids = install_with_engine(&mut eng, &m, Some(exec)).unwrap();
-            eng.launch(LaunchSpec::new(ids["k"], 2, 32, vec![out as i64, s0, s1])).unwrap();
+            let ids = install(&mut eng, &m).unwrap();
+            on_engine(exec, || {
+                eng.launch(LaunchSpec::new(ids["k"], 2, 32, vec![out as i64, s0, s1]))
+            })
+            .unwrap();
             let got = eng.mem.slice(out).unwrap();
             // Two blocks write the same tid slots; block 1 (executed last)
             // wins, so compare against cta = 1 for all lanes.
@@ -178,9 +196,9 @@ fn divergent_loops_match_host_oracle() {
             let mut eng = Engine::new(GpuConfig::tiny(), AllocKind::PreAlloc, 1 << 12);
             let trips_h = eng.mem.alloc_array_init("trips", trips.clone());
             let out = eng.mem.alloc_array("out", 32);
-            let ids = install_with_engine(&mut eng, &m, Some(exec)).unwrap();
-            eng.launch(LaunchSpec::new(ids["k"], 1, 32, vec![trips_h as i64, out as i64, step]))
-                .unwrap();
+            let ids = install(&mut eng, &m).unwrap();
+            let spec = LaunchSpec::new(ids["k"], 1, 32, vec![trips_h as i64, out as i64, step]);
+            on_engine(exec, || eng.launch(spec)).unwrap();
             let got = eng.mem.slice(out).unwrap();
             for lane in 0..32 {
                 let mut acc = 0i64;
@@ -212,14 +230,10 @@ fn atomic_sums_match() {
             let mut eng = Engine::new(GpuConfig::tiny(), AllocKind::PreAlloc, 1 << 12);
             let vals = eng.mem.alloc_array_init("vals", adds.clone());
             let sum = eng.mem.alloc_array("sum", 1);
-            let ids = install_with_engine(&mut eng, &m, Some(exec)).unwrap();
-            eng.launch(LaunchSpec::new(
-                ids["k"],
-                (n as u32).div_ceil(32),
-                32,
-                vec![vals as i64, sum as i64, n as i64],
-            ))
-            .unwrap();
+            let ids = install(&mut eng, &m).unwrap();
+            let grid = (n as u32).div_ceil(32);
+            let spec = LaunchSpec::new(ids["k"], grid, 32, vec![vals as i64, sum as i64, n as i64]);
+            on_engine(exec, || eng.launch(spec)).unwrap();
             let want = adds.iter().sum::<i64>();
             assert_eq!(eng.mem.read(sum, 0).unwrap(), want, "case {case}, {exec:?}");
         }

@@ -1,6 +1,7 @@
 //! Regression tests for the two lane-semantics bugs fixed alongside the
-//! bytecode VM, pinned on **both** executors via the per-install engine pin
-//! (`install_with_engine`), so neither can drift independently:
+//! bytecode VM, pinned on **both** the VM and the tree-walking oracle via the
+//! process-wide `set_engine_override` (flipped under one lock), so neither
+//! can drift independently:
 //!
 //! 1. Shift amounts outside `0..=63` used to wrap modulo 64 (`x << 64` acted
 //!    as `x << 0`, `x << -1` as `x << 63`); they now yield `0` for both `<<`
@@ -11,12 +12,18 @@
 //!    now raise a typed `KernelFault` naming the kernel, lane, and value.
 
 use dpcons_ir::dsl::*;
-use dpcons_ir::{install_with_engine, ExecEngine, Module};
+use std::sync::{Mutex, PoisonError};
+
+use dpcons_ir::{install, set_engine_override, ExecEngine, Module};
 use dpcons_sim::{AllocKind, Engine, GpuConfig, LaunchSpec, SimError};
 
 const ENGINES: [ExecEngine; 2] = [ExecEngine::Bytecode, ExecEngine::Tree];
 
-/// Build an engine + module pinned to one executor and return the launched
+/// The engine override is process-global; every launch in this binary holds
+/// this lock while the override is flipped.
+static ENGINE_LOCK: Mutex<()> = Mutex::new(());
+
+/// Build an engine + module, launch it on one executor, and return the
 /// kernel's result along with the engine for memory inspection.
 fn run_pinned(
     engine: ExecEngine,
@@ -29,10 +36,16 @@ fn run_pinned(
 ) -> (Engine, usize, Result<(), SimError>) {
     let mut eng = Engine::new(GpuConfig::tiny(), AllocKind::PreAlloc, 1 << 12);
     let out = eng.mem.alloc_array("out", out_words);
-    let ids = install_with_engine(&mut eng, m, Some(engine)).unwrap();
+    let ids = install(&mut eng, m).unwrap();
     let mut args = vec![out as i64];
     args.extend(extra_args);
-    let r = eng.launch(LaunchSpec::new(ids[kernel], grid, block, args)).map(|_| ());
+    let r = {
+        let _guard = ENGINE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        set_engine_override(Some(engine));
+        let r = eng.launch(LaunchSpec::new(ids[kernel], grid, block, args)).map(|_| ());
+        set_engine_override(None);
+        r
+    };
     (eng, out, r)
 }
 
@@ -109,5 +122,30 @@ fn in_range_launch_dims_still_work_in_both_engines() {
         let (eng, out, r) = run_pinned(engine, &m, "parent", 1, 1, vec![], 1);
         r.unwrap_or_else(|e| panic!("{engine:?}: {e}"));
         assert_eq!(eng.mem.read(out, 0).unwrap(), 7, "{engine:?}");
+    }
+}
+
+#[test]
+fn cas_without_desired_value_faults_identically_in_both_engines() {
+    // A hand-built CAS missing its desired value is a program error: both
+    // executors report the same kernel fault instead of panicking.
+    let mut m = Module::new();
+    m.add(KernelBuilder::new("k").array("out").body(vec![dpcons_ir::Stmt::Atomic {
+        op: dpcons_ir::AtomicOp::Cas,
+        old: None,
+        handle: v("out"),
+        index: i(0),
+        value: i(0),
+        value2: None,
+    }]));
+    for engine in ENGINES {
+        let (_eng, _out, r) = run_pinned(engine, &m, "k", 1, 32, vec![], 1);
+        match r {
+            Err(SimError::KernelFault { kernel, message }) => {
+                assert_eq!(kernel, "k", "{engine:?}");
+                assert!(message.contains("atomicCAS"), "{engine:?}: {message}");
+            }
+            other => panic!("{engine:?}: expected KernelFault, got {other:?}"),
+        }
     }
 }

@@ -20,7 +20,7 @@
 //! * an arena may be reused for any number of captures, of any kernels, in
 //!   any order — `reset` empties every buffer it recycles, so no state leaks
 //!   between captures;
-//! * the records of a capture are valid until the next `reset`/`capture`
+//! * the records of a capture are valid until the next `reset`/`capture_into`
 //!   call on the same arena; callers that must retain a DAG (e.g. the
 //!   capture-mode runner building a `CaptureSet`) take ownership via
 //!   [`CaptureArena::take_records`] instead;
@@ -89,7 +89,7 @@ impl CaptureArena {
     }
 
     /// The captured DAG, in functional (BFS) execution order — the same
-    /// slice shape `Engine::replay_timing*` and `trace::summarize` consume.
+    /// slice shape `Engine::replay_timing_on` and `trace::summarize` consume.
     pub fn records(&self) -> &[ExecRecord] {
         &self.records
     }

@@ -47,16 +47,16 @@ fn replays_counter() -> &'static obs::Counter {
 }
 
 /// Total functional kernel executions so far in this process. Timing-only
-/// replays ([`Engine::replay_timing`], [`Engine::replay_timing_on`]) never
-/// advance this counter, so tests can prove that what-if re-timing across a
-/// device fleet adds no functional work.
+/// replays ([`Engine::replay_timing_on`]) never advance this counter, so
+/// tests can prove that what-if re-timing across a device fleet adds no
+/// functional work.
 pub fn functional_execs_total() -> u64 {
     functional_execs_counter().get()
 }
 
 thread_local! {
-    /// Per-thread capture arena for [`Engine::launch`]/[`Engine::launch_traced`],
-    /// whose records are consumed (replayed + summarized) within the call.
+    /// Per-thread capture arena for [`Engine::launch`], whose records are
+    /// consumed (replayed) within the call.
     /// Thread-local rather than per-engine so tuner worker threads reuse
     /// capacities across candidates — each candidate gets a fresh `Engine`,
     /// but the worker thread (and its warmed arena) persists for the wave.
@@ -126,70 +126,42 @@ impl Engine {
 
     /// Launch a kernel from the host and run the whole dynamic-parallelism
     /// DAG to completion. Returns the profile for this launch tree.
+    ///
+    /// This is [`Engine::capture_into`] on a per-thread arena: the records
+    /// of a launch die with the call, so the next launch on this thread
+    /// (e.g. the next candidate a tuner worker evaluates) resets the arena
+    /// and inherits every buffer capacity instead of re-allocating the DAG.
     pub fn launch(&mut self, spec: LaunchSpec) -> Result<ProfileReport, SimError> {
-        self.launch_traced(spec).map(|(r, _)| r)
+        LAUNCH_ARENA.with(|cell| self.capture_into(spec, &mut cell.borrow_mut()))
     }
 
-    /// Like [`Engine::launch`], additionally returning the structural
-    /// launch-tree summary (per-depth kernel counts, subtree sizes).
-    pub fn launch_traced(
-        &mut self,
-        spec: LaunchSpec,
-    ) -> Result<(ProfileReport, crate::trace::LaunchTree), SimError> {
-        // Report the allocator work of *this* launch (delta over the heap's
-        // cumulative stats), so back-to-back launches merge additively in
-        // `ProfileReport::merge` instead of each carrying the running total.
-        let allocs_before = self.heap.stats.allocs;
-        let alloc_cycles_before = self.heap.stats.alloc_cycles;
-        // The records of a launch die with the call, so they are captured
-        // into a per-thread arena: the next launch on this thread (e.g. the
-        // next candidate a tuner worker evaluates) resets it and inherits
-        // every buffer capacity instead of re-allocating the DAG.
-        LAUNCH_ARENA.with(|cell| {
-            let mut arena = cell.borrow_mut();
-            self.capture_into(spec, &mut arena)?;
-            let mut report = self.replay_timing(arena.records());
-            report.alloc_ops = self.heap.stats.allocs - allocs_before;
-            report.alloc_cycles = self.heap.stats.alloc_cycles - alloc_cycles_before;
-            Ok((report, crate::trace::summarize(arena.records())))
-        })
-    }
-
-    /// Run only the **functional phase**: execute the launch DAG
-    /// deterministically, mutating device memory, and return the captured
-    /// [`ExecRecord`]s without timing them. Pair with [`Engine::replay_timing`]
-    /// to obtain the profile; callers that want to re-time one functional
-    /// execution several times (e.g. the `dpcons-tune` sweep de-duplicating
-    /// functionally-identical directive candidates, or what-if re-timing on a
-    /// different device description) can do so without paying the functional
-    /// re-execution.
-    pub fn capture(&mut self, spec: LaunchSpec) -> Result<Vec<ExecRecord>, SimError> {
-        let mut arena = CaptureArena::new();
-        self.capture_into(spec, &mut arena)?;
-        Ok(arena.take_records())
-    }
-
-    /// [`Engine::capture`] into a caller-owned [`CaptureArena`]: the arena is
-    /// reset first (recycling any previous capture's buffer capacities) and
-    /// then filled; read the DAG back via [`CaptureArena::records`]. This is
-    /// the allocation-free path for callers that capture repeatedly — tuner
-    /// waves, microbenches — where [`Engine::capture`]'s owned `Vec` return
-    /// would discard the buffers after every candidate.
+    /// Launch from the host into a caller-owned [`CaptureArena`]: reset the
+    /// arena (recycling any previous capture's buffer capacities), run the
+    /// **functional phase** into it, then time the captured DAG on this
+    /// engine's device. The DAG stays readable via [`CaptureArena::records`]
+    /// (or [`CaptureArena::take_records`]) until the arena's next reset, so
+    /// callers can re-time the identical functional execution on other
+    /// devices with [`Engine::replay_timing_on`] without re-running it.
+    ///
+    /// The report carries the allocator work of *this* launch (a delta over
+    /// the heap's cumulative stats), so back-to-back launches merge
+    /// additively in `ProfileReport::merge`.
     pub fn capture_into(
         &mut self,
         spec: LaunchSpec,
         arena: &mut CaptureArena,
-    ) -> Result<(), SimError> {
-        let _span = obs::span("sim.capture");
-        arena.reset();
-        self.functional_phase(spec, arena)
-    }
-
-    /// Timing-only replay of a previously [`Engine::capture`]d launch DAG on
-    /// this engine's device. Launch counters are derived from the records;
-    /// allocator statistics are not filled in (they belong to the capture).
-    pub fn replay_timing(&self, records: &[ExecRecord]) -> ProfileReport {
-        Self::replay_timing_on(&self.gpu, records)
+    ) -> Result<ProfileReport, SimError> {
+        let allocs_before = self.heap.stats.allocs;
+        let alloc_cycles_before = self.heap.stats.alloc_cycles;
+        {
+            let _span = obs::span("sim.capture");
+            arena.reset();
+            self.functional_phase(spec, arena)?;
+        }
+        let mut report = Self::replay_timing_on(&self.gpu, arena.records());
+        report.alloc_ops = self.heap.stats.allocs - allocs_before;
+        report.alloc_cycles = self.heap.stats.alloc_cycles - alloc_cycles_before;
+        Ok(report)
     }
 
     /// Replay captured records against an arbitrary device description.
@@ -206,7 +178,7 @@ impl Engine {
     /// statistics (`alloc_ops`, `alloc_cycles`) are **not** populated on
     /// replay — they stay zero, because they are functional facts of the
     /// capture, owned by the capture engine's [`crate::DeviceHeap`]
-    /// (`Engine::launch`/`launch_traced` fill them from `heap.stats`;
+    /// ([`Engine::capture_into`] fills them from `heap.stats`;
     /// `dpcons_apps::CaptureSet::replay_on` re-attaches the captured values).
     pub fn replay_timing_on(gpu: &GpuConfig, records: &[ExecRecord]) -> ProfileReport {
         let _span = obs::span_n("sim.replay", records.len() as u64);
@@ -1094,11 +1066,11 @@ mod tests {
 
         let mut e2 = Engine::new(GpuConfig::tiny(), AllocKind::PreAlloc, 1024);
         let parent = build(&mut e2);
-        let records = e2.capture(LaunchSpec::new(parent, 2, 64, vec![])).unwrap();
-        let replayed = e2.replay_timing(&records);
-        assert_eq!(direct, replayed);
+        let mut arena = CaptureArena::new();
+        let captured = e2.capture_into(LaunchSpec::new(parent, 2, 64, vec![]), &mut arena).unwrap();
+        assert_eq!(direct, captured);
         // Replay is repeatable without functional re-execution.
-        assert_eq!(replayed, e2.replay_timing(&records));
+        assert_eq!(captured, Engine::replay_timing_on(&e2.gpu, arena.records()));
     }
 
     #[test]
@@ -1112,9 +1084,10 @@ mod tests {
             }
             Ok(BlockResult::single(s))
         }));
-        let records = e.capture(LaunchSpec::new(parent, 8, 256, vec![child as i64])).unwrap();
-        let k20 = e.replay_timing(&records);
-        let k40 = Engine::replay_timing_on(&GpuConfig::k40(), &records);
+        let mut arena = CaptureArena::new();
+        let spec = LaunchSpec::new(parent, 8, 256, vec![child as i64]);
+        let k20 = e.capture_into(spec, &mut arena).unwrap();
+        let k40 = Engine::replay_timing_on(&GpuConfig::k40(), arena.records());
         assert_eq!(k20.kernels_executed, k40.kernels_executed);
         assert!(
             k40.total_cycles <= k20.total_cycles,
@@ -1139,9 +1112,10 @@ mod tests {
 
         let mut e2 = Engine::new(GpuConfig::tiny(), AllocKind::Default, 4096);
         let k = build(&mut e2);
-        let records = e2.capture(LaunchSpec::new(k, 2, 32, vec![])).unwrap();
+        let mut arena = CaptureArena::new();
+        e2.capture_into(LaunchSpec::new(k, 2, 32, vec![]), &mut arena).unwrap();
         for gpu in [GpuConfig::tiny(), GpuConfig::k20c()] {
-            let replayed = Engine::replay_timing_on(&gpu, &records);
+            let replayed = Engine::replay_timing_on(&gpu, arena.records());
             assert_eq!(replayed.alloc_ops, 0, "replay must not invent allocator stats");
             assert_eq!(replayed.alloc_cycles, 0);
         }
@@ -1166,9 +1140,12 @@ mod tests {
             Ok(BlockResult::single(s))
         }));
         let before = functional_execs_total();
-        let records = e.capture(LaunchSpec::new(parent, 1, 32, vec![child as i64])).unwrap();
+        let mut arena = CaptureArena::new();
+        let spec = LaunchSpec::new(parent, 1, 32, vec![child as i64]);
+        let report = e.capture_into(spec, &mut arena).unwrap();
         assert!(functional_execs_total() - before >= 4, "capture runs the kernels");
-        assert_eq!(e.replay_timing(&records).kernels_executed, 4);
+        assert_eq!(report.kernels_executed, 4);
+        assert_eq!(Engine::replay_timing_on(&e.gpu, arena.records()).kernels_executed, 4);
     }
 
     #[test]

@@ -2,22 +2,23 @@
 //! what-if sweep rests on.
 //!
 //! For every benchmark and every variant (flat, basic-dp, and all three
-//! consolidation granularities), a run executed through the explicit
-//! `Engine::capture` + `Engine::replay_timing` split
-//! ([`dpcons_apps::RunConfig::capture`]) must reproduce the *exact*
-//! [`dpcons_sim::ProfileReport`] — cycle counts included — of a fresh
-//! [`dpcons_sim::Engine::launch`], and re-timing the capture on the same
-//! device via [`dpcons_sim::Engine::replay_timing_on`]
-//! (`CaptureSet::replay_on`) must match too. If replay ever drifted from
-//! live execution, every fleet datapoint would silently be wrong.
+//! consolidation granularities), a run in capture mode
+//! ([`dpcons_apps::RunConfig::capture`]), which launches through
+//! [`dpcons_sim::Engine::capture_into`] on its own arena and keeps the
+//! records, must reproduce the *exact* [`dpcons_sim::ProfileReport`] —
+//! cycle counts included — of a plain [`dpcons_sim::Engine::launch`] on the
+//! per-thread arena, and re-timing the kept capture on the same device via
+//! [`dpcons_sim::Engine::replay_timing_on`] (`CaptureSet::replay_on`) must
+//! match too. If replay ever drifted from live execution, every fleet
+//! datapoint would silently be wrong.
 
 use dpcons_apps::{all_benchmarks, Profile, RunConfig, Variant};
 use dpcons_ir::dsl::*;
 use dpcons_ir::{install, Module};
 use dpcons_sim::{AllocKind, ArrayId, CaptureArena, Engine, GpuConfig, LaunchSpec};
 
-/// capture + replay_timing ≡ launch, and replay_timing_on(same device) ≡
-/// both, for every (app, variant) pair.
+/// capture mode ≡ launch, and replay_timing_on(same device) ≡ both, for
+/// every (app, variant) pair.
 #[test]
 fn capture_replay_matches_fresh_launch_for_every_app_and_granularity() {
     let cfg = RunConfig::default();
@@ -117,30 +118,37 @@ fn build_app_b() -> (Engine, LaunchSpec, ArrayId) {
 /// and replay timings byte-for-byte identical to fresh-arena captures.
 #[test]
 fn arena_reuse_leaks_no_state_across_captures() {
-    // Fresh-arena baselines, each on its own engine.
+    // Fresh-arena baselines, each on its own engine and arena.
     let (mut ea, spec_a, out_a) = build_app_a();
-    let fresh_a = ea.capture(spec_a).expect("app A captures");
+    let mut fresh_a = CaptureArena::new();
+    let report_a = ea.capture_into(spec_a, &mut fresh_a).expect("app A captures");
     let (mut eb, spec_b, out_b) = build_app_b();
-    let fresh_b = eb.capture(spec_b).expect("app B captures");
-    assert!(fresh_a.len() > 1 && fresh_b.len() > 1, "both apps must actually nest launches");
+    let mut fresh_b = CaptureArena::new();
+    let report_b = eb.capture_into(spec_b, &mut fresh_b).expect("app B captures");
+    assert!(
+        fresh_a.records().len() > 1 && fresh_b.records().len() > 1,
+        "both apps must actually nest launches"
+    );
 
     // The same two captures through one reused arena.
     let mut arena = CaptureArena::new();
     let (mut ea2, spec_a2, out_a2) = build_app_a();
-    ea2.capture_into(spec_a2, &mut arena).expect("app A captures into the arena");
-    assert_eq!(arena.records(), &fresh_a[..], "app A records diverged on the shared arena");
+    let report = ea2.capture_into(spec_a2, &mut arena).expect("app A captures into the arena");
+    assert_eq!(arena.records(), fresh_a.records(), "app A records diverged on the shared arena");
     assert_eq!(ea2.mem.slice(out_a2), ea.mem.slice(out_a), "app A memory diverged");
-    assert_eq!(ea2.replay_timing(arena.records()), ea.replay_timing(&fresh_a));
+    assert_eq!(report, report_a);
 
     let (mut eb2, spec_b2, out_b2) = build_app_b();
-    eb2.capture_into(spec_b2, &mut arena).expect("app B captures into the reused arena");
+    let report =
+        eb2.capture_into(spec_b2, &mut arena).expect("app B captures into the reused arena");
     assert_eq!(
         arena.records(),
-        &fresh_b[..],
+        fresh_b.records(),
         "a reused arena leaked prior-capture state into app B's records"
     );
     assert_eq!(eb2.mem.slice(out_b2), eb.mem.slice(out_b), "app B memory diverged");
-    assert_eq!(eb2.replay_timing(arena.records()), eb.replay_timing(&fresh_b));
+    assert_eq!(report, report_b);
+    assert_eq!(Engine::replay_timing_on(&eb2.gpu, arena.records()), report_b);
     assert!(arena.reuses() >= 1, "the second capture must have recycled the arena");
 }
 

@@ -189,6 +189,9 @@ mod tests {
 
     #[test]
     fn no_plan_means_no_faults() {
+        // Hold the campaign lock so a concurrently installed plan from a
+        // sibling test cannot be observed here.
+        let _serial = SCOPE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         assert!(current().is_none());
         let mut fuel = None;
         assert!(before_candidate("bfs", "grid/default", 0, &mut fuel).is_ok());

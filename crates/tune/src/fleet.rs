@@ -631,11 +631,12 @@ fn fleet_attempt(
                 // (pinned bit-exact by replay_differential.rs), so only the
                 // other devices need a fresh replay. Each remaining device is
                 // priced through the batched parallel entry
-                // ([`crate::replay::replay_timing_many_robust`]): every
-                // captured host-launch DAG re-timed concurrently, then merged
-                // in launch order so the result is bit-identical to a serial
-                // `CaptureSet::replay_on`. A panicking replay poisons only
-                // this candidate.
+                // ([`crate::replay::replay_timing_many`]): every captured
+                // host-launch DAG re-timed concurrently, then merged in
+                // launch order so the result is bit-identical to a serial
+                // `CaptureSet::replay_on`. A panicking replay unwinds into
+                // the wave's `parallel_map_robust` fence, which records it as
+                // `FleetStatus::Panicked` for this candidate only.
                 let cell_of = |r: &dpcons_sim::ProfileReport| DeviceCell {
                     cycles: r.total_cycles,
                     dram_transactions: r.dram_transactions,
@@ -646,25 +647,11 @@ fn fleet_attempt(
                     caps.launches.iter().map(|l| l.as_slice()).collect();
                 let mut cells = Vec::with_capacity(fleet.len());
                 cells.push(cell_of(&out.report));
-                let mut panicked = None;
-                'devices: for d in &fleet[1..] {
-                    let mut reports = Vec::with_capacity(dags.len());
-                    for r in crate::replay::replay_timing_many_robust(d, &dags) {
-                        match r {
-                            Ok(rep) => reports.push(rep),
-                            Err(msg) => {
-                                dpcons_obs::counter("tune.replay.panicked").inc();
-                                panicked = Some(msg);
-                                break 'devices;
-                            }
-                        }
-                    }
+                for d in &fleet[1..] {
+                    let reports = crate::replay::replay_timing_many(d, &dags);
                     cells.push(cell_of(&crate::replay::merge_reports(&reports)));
                 }
-                match panicked {
-                    Some(msg) => FleetStatus::Panicked(format!("timing replay panicked: {msg}")),
-                    None => FleetStatus::Retimed(cells),
-                }
+                FleetStatus::Retimed(cells)
             }
         },
     };

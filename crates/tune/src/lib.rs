@@ -79,7 +79,7 @@ pub use fleet::{
 };
 pub use knobs::Knobs;
 pub use par::{parallel_map, parallel_map_robust};
-pub use replay::{merge_reports, replay_timing_many, replay_timing_many_robust};
+pub use replay::{merge_reports, replay_timing_many};
 pub use report::{CandidateOutcome, Metrics, Status, TuneReport};
 pub use tuner::{
     cache_key_for, candidate_config, default_knobs, enumerate_candidates, evaluate_candidate,

@@ -28,11 +28,10 @@
 //! deterministic. The unit tests below pin the equivalence.
 
 use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use dpcons_sim::{Engine, ExecRecord, GpuConfig, ProfileReport};
 
-use crate::par::{panic_message, parallel_map};
+use crate::par::parallel_map;
 
 /// Fewer captured records than this are not worth a second thread: one
 /// record replays in a few microseconds, so a chunk below this size would
@@ -82,10 +81,10 @@ fn workers() -> usize {
 /// [`ProfileReport`] per DAG in submission order. Equivalent to (and
 /// bit-identical with) calling [`Engine::replay_timing_on`] in a serial loop.
 ///
-/// Panics in a replay are resumed on the caller's thread after the batch
-/// drains ([`parallel_map`]'s strict contract); use
-/// [`replay_timing_many_robust`] where one poisoned DAG must not abort its
-/// siblings.
+/// A panic in a replay is resumed on the caller's thread after the batch
+/// drains ([`parallel_map`]'s strict contract). Callers that must survive
+/// one poisoned DAG run the batch inside their own panic fence — the fleet
+/// sweep's waves do, via [`crate::par::parallel_map_robust`].
 pub fn replay_timing_many(gpu: &GpuConfig, dags: &[&[ExecRecord]]) -> Vec<ProfileReport> {
     let _span = dpcons_obs::span("tune.replay.batch");
     batched_dags_counter().add(dags.len() as u64);
@@ -95,33 +94,6 @@ pub fn replay_timing_many(gpu: &GpuConfig, dags: &[&[ExecRecord]]) -> Vec<Profil
     if ranges.len() <= 1 {
         // One core or one chunk's worth of records: plain serial loop, no
         // thread machinery at all.
-        return ranges.pop().map(replay_range).unwrap_or_default();
-    }
-    let jobs: Vec<_> = ranges.into_iter().map(|r| || replay_range(r)).collect();
-    parallel_map(jobs).into_iter().flatten().collect()
-}
-
-/// [`replay_timing_many`] with per-DAG panic isolation: index `i` holds
-/// `Ok(report)` or `Err(panic message)` for `dags[i]`. Chunking matches
-/// [`replay_timing_many`]; the panic fence stays per DAG inside each chunk,
-/// so one poisoned DAG never takes its chunk-mates' results down with it.
-pub fn replay_timing_many_robust(
-    gpu: &GpuConfig,
-    dags: &[&[ExecRecord]],
-) -> Vec<Result<ProfileReport, String>> {
-    let _span = dpcons_obs::span("tune.replay.batch");
-    batched_dags_counter().add(dags.len() as u64);
-    let replay_range = |r: Range<usize>| {
-        dags[r]
-            .iter()
-            .map(|&d| {
-                catch_unwind(AssertUnwindSafe(|| Engine::replay_timing_on(gpu, d)))
-                    .map_err(panic_message)
-            })
-            .collect()
-    };
-    let mut ranges = chunk_ranges(dags, workers());
-    if ranges.len() <= 1 {
         return ranges.pop().map(replay_range).unwrap_or_default();
     }
     let jobs: Vec<_> = ranges.into_iter().map(|r| || replay_range(r)).collect();
@@ -165,11 +137,6 @@ mod tests {
             dags.iter().map(|dag| Engine::replay_timing_on(&cfg.gpu, dag)).collect();
         let parallel = replay_timing_many(&cfg.gpu, &dags);
         assert_eq!(parallel, serial, "per-DAG reports must be identical and in order");
-
-        let robust = replay_timing_many_robust(&cfg.gpu, &dags);
-        for (r, s) in robust.iter().zip(&serial) {
-            assert_eq!(r.as_ref().expect("no replay panics"), s);
-        }
     }
 
     #[test]
@@ -191,7 +158,6 @@ mod tests {
     fn empty_batch_yields_empty_results_and_default_merge() {
         let gpu = dpcons_sim::GpuConfig::k20c();
         assert!(replay_timing_many(&gpu, &[]).is_empty());
-        assert!(replay_timing_many_robust(&gpu, &[]).is_empty());
         assert_eq!(merge_reports(&[]), ProfileReport::default());
     }
 
