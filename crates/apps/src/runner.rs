@@ -238,7 +238,7 @@ pub struct VariantSession {
 
 impl VariantSession {
     /// Build a session: pick/transform the module for `variant` and install
-    /// it into a fresh engine.
+    /// it into a fresh engine. Traced as one `app.session` span.
     ///
     /// * `module_dp` — the annotated basic-dp module (parent kernel
     ///   `parent`); also used for the consolidated variants.
@@ -251,6 +251,7 @@ impl VariantSession {
         variant: Variant,
         cfg: &RunConfig,
     ) -> Result<VariantSession, AppError> {
+        let _span = dpcons_obs::span("app.session");
         let (module, cons) = match variant {
             Variant::Flat => (module_flat.clone(), None),
             Variant::BasicDp => (module_dp.clone(), None),

@@ -67,11 +67,12 @@ fn micro_json_is_well_formed_and_trace_is_balanced() {
         assert!(stage.get("work").and_then(|v| v.as_num()).is_some());
     }
 
-    // The trace covers the whole pipeline: the micro wrapper, functional
-    // capture, timing replay, and every tuner wave (wave args are the
+    // The trace covers the whole pipeline: the micro wrapper, session build,
+    // functional capture, timing replay, and every tuner wave (wave args are the
     // contiguous sequence 0..n).
     for name in [
         "micro.app",
+        "app.session",
         "app.launch",
         "sim.capture",
         "sim.replay",

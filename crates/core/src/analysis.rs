@@ -365,7 +365,7 @@ pub fn analyze(
         .body
         .iter()
         .position(contains_launch)
-        .expect("launch exists, so some top-level statement contains it");
+        .ok_or_else(|| TransformError::NoLaunch { kernel: parent_name.to_string() })?;
     let has_postwork = top_level_index + 1 < parent.body.len();
     if recursive && has_postwork {
         return Err(TransformError::RecursionWithPostwork { kernel: parent_name.to_string() });

@@ -22,6 +22,10 @@
 //! pretty-print it with `dpcons_ir::module_to_string` to inspect the
 //! generated CUDA-like source.
 
+// Malformed input must come back as a `TransformError` or `SimError`, never
+// a panic: non-test code may not `unwrap`/`expect`.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod analysis;
 pub mod directive;
 pub mod occupancy;

@@ -11,7 +11,6 @@ use std::collections::HashMap;
 
 use dpcons_sim::{ArrayId, Engine, KernelId, LaunchSpec, SimError};
 
-use crate::directive::Granularity;
 use crate::occupancy::ConfigPolicy;
 use crate::transform::TransformInfo;
 
@@ -29,7 +28,8 @@ pub struct PreparedLaunch {
     counter_init: i64,
     /// Seed items re-written by [`reset_launch`].
     seed_items: Vec<i64>,
-    grid_level: bool,
+    /// Pool words [`reset_launch`] zeroes: the buffer counts.
+    pool_counts: Vec<usize>,
 }
 
 /// Number of barrier-counter slots allocated (device nesting limit + root).
@@ -67,9 +67,18 @@ pub fn prepare_launch(
         }
     }
 
+    // Count words past the end of the pool are never in bounds for the
+    // kernels either, so there is nothing to reset there.
+    let pool_counts: Vec<usize> = info
+        .pool_count_offsets()
+        .into_iter()
+        .filter(|&o| o < pool_words)
+        .map(|o| o as usize)
+        .collect();
+
     if !info.recursive {
         let mut args = original_args.to_vec();
-        let (mut pool, mut counter, mut counter_init, mut grid_level) = (None, None, 0, false);
+        let (mut pool, mut counter, mut counter_init) = (None, None, 0);
         if let Some(extras) = &info.grid_extras {
             let p = engine.mem.alloc_array("__cons_pool", pool_words as usize);
             let c = engine.mem.alloc_array(&extras.counter_param, COUNTER_SLOTS);
@@ -79,7 +88,6 @@ pub fn prepare_launch(
             args.push(c as i64);
             pool = Some(p);
             counter = Some(c);
-            grid_level = true;
         }
         return Ok(PreparedLaunch {
             spec: LaunchSpec::new(entry_id, original_config.0, original_config.1, args),
@@ -88,7 +96,7 @@ pub fn prepare_launch(
             seed_buf: None,
             counter_init,
             seed_items: Vec::new(),
-            grid_level,
+            pool_counts,
         });
     }
 
@@ -99,9 +107,10 @@ pub fn prepare_launch(
 
     let (grid, block) = entry_config(info, 1);
 
-    let mut prepared = match info.granularity {
-        Granularity::Grid => {
-            let extras = info.grid_extras.as_ref().expect("grid recursion has extras");
+    // Grid-level recursion levels share the pool; warp/block levels get a
+    // seeded buffer.
+    let mut prepared = match &info.grid_extras {
+        Some(extras) => {
             let p = engine.mem.alloc_array("__cons_pool", pool_words as usize);
             let c = engine.mem.alloc_array(&extras.counter_param, COUNTER_SLOTS);
             args.push(p as i64);
@@ -114,10 +123,10 @@ pub fn prepare_launch(
                 seed_buf: None,
                 counter_init: grid as i64,
                 seed_items,
-                grid_level: true,
+                pool_counts,
             }
         }
-        _ => {
+        None => {
             let cap = 1 + seed_items.len();
             let b = engine.mem.alloc_array("__cons_seed", cap.max(2));
             args.push(b as i64);
@@ -129,7 +138,7 @@ pub fn prepare_launch(
                 seed_buf: Some(b),
                 counter_init: 0,
                 seed_items,
-                grid_level: false,
+                pool_counts,
             }
         }
     };
@@ -137,12 +146,23 @@ pub fn prepare_launch(
     Ok(prepared)
 }
 
-/// Reset the consolidation state before (re-)launching: zero the pool counts,
-/// reinitialize the barrier counter, and re-seed recursion work items. Must
-/// be called between host launches that reuse a `PreparedLaunch`.
+/// Reset the consolidation state before (re-)launching: zero the pool's
+/// count words, reinitialize the barrier counters, and re-seed recursion work
+/// items. Must be called between host launches that reuse a `PreparedLaunch`.
+///
+/// Only the pool words the kernels read before writing are reset: word 0 for
+/// irregular loops, the count of every level buffer for recursion (then
+/// level 0's count and items are seeded). The rest of the pool never needs
+/// clearing. Every item slot is reserved by an `atomicAdd` on its buffer's
+/// count and stored before the consolidated child reads it, the child reads
+/// only slots below the count, and each level buffer's count is zeroed here
+/// before the level that fills it runs. Pool pages no launch touches are
+/// therefore never written by the host either.
 pub fn reset_launch(engine: &mut Engine, p: &mut PreparedLaunch) -> Result<(), SimError> {
     if let Some(pool) = p.pool {
-        engine.mem.fill(pool, 0)?;
+        for &o in &p.pool_counts {
+            engine.mem.write(pool, o, 0)?;
+        }
         if !p.seed_items.is_empty() {
             // One seeded work item: count = 1, its nv values right after.
             engine.mem.write(pool, 0, 1)?;
@@ -162,7 +182,6 @@ pub fn reset_launch(engine: &mut Engine, p: &mut PreparedLaunch) -> Result<(), S
             engine.mem.write(b, 1 + j, x)?;
         }
     }
-    let _ = p.grid_level;
     engine.heap.reset();
     Ok(())
 }

@@ -84,6 +84,21 @@ impl TransformInfo {
         }
         extras.one_item_per_thread.then(|| 1 + parent_threads * self.nv as u64)
     }
+
+    /// The pool words the grid-level kernels read before any of them writes
+    /// the word in a host launch: the buffer counts. Word 0 for irregular
+    /// loops; for recursion the count of every level buffer, including the
+    /// one the deepest level inserts into before its launch hits the nesting
+    /// limit. Every other pool word is an item slot, stored after an
+    /// `atomicAdd` on its count reserved it and read only below that count,
+    /// so zeroing these words is a complete reset. Empty without a pool.
+    pub(crate) fn pool_count_offsets(&self) -> Vec<u64> {
+        match &self.grid_extras {
+            None => Vec::new(),
+            Some(_) if !self.recursive => vec![0],
+            Some(extras) => (0..=GRID_LEVELS).map(|k| (k * extras.level_stride) as u64).collect(),
+        }
+    }
 }
 
 /// Result of consolidation: the rewritten module plus launch metadata.
@@ -152,8 +167,11 @@ impl<'a> Ctx<'a> {
         gpu: &GpuConfig,
         policy: ConfigPolicy,
     ) -> Result<Self, TransformError> {
-        let parent = module.get(parent_name).expect("analysis checked existence");
-        let child = module.get(&a.launch.target).expect("analysis checked existence");
+        let kernel = |name: &str| {
+            module.get(name).ok_or_else(|| TransformError::UnknownKernel { name: name.to_string() })
+        };
+        let parent = kernel(parent_name)?;
+        let child = kernel(&a.launch.target)?;
         // Validate a Var-based perBufferSize against the parent's params.
         if let Some(SizeSpec::Var(name)) = &directive.per_buffer_size {
             if parent.param_index(name).is_none() {

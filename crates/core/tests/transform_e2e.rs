@@ -7,11 +7,12 @@
 use std::collections::HashMap;
 
 use dpcons_core::{
-    consolidate, prepare_launch, reset_launch, ChildClass, ConfigPolicy, Directive, Granularity,
+    consolidate, prepare_launch, reset_launch, ChildClass, ConfigPolicy, Consolidated, Directive,
+    Granularity,
 };
 use dpcons_ir::dsl::*;
 use dpcons_ir::{install, Module};
-use dpcons_sim::{AllocKind, Engine, GpuConfig, LaunchSpec, ProfileReport};
+use dpcons_sim::{AllocKind, ArrayId, Engine, GpuConfig, LaunchSpec, ProfileReport, SimError};
 
 const HEAP_WORDS: u64 = 1 << 20;
 const POOL_WORDS: u64 = 1 << 20;
@@ -511,4 +512,127 @@ fn pre_alloc_buffer_reuse_across_host_launches() {
         e.launch(prep.spec.clone()).unwrap();
         assert_eq!(e.mem.slice(out).unwrap(), &expected[..]);
     }
+}
+
+// ---------------------------------------------------------------------
+// Poisoned pools: `reset_launch` zeroes only the pool's count words, so
+// whatever the rest of the pool holds between host launches must not
+// change a run.
+// ---------------------------------------------------------------------
+
+/// Garbage written over the whole pool before each reused host launch. A
+/// large negative, a small positive and a -1 count each break a run in a
+/// different way when a count word is left unreset.
+const POISON: [i64; 3] = [i64::MIN + 7, 7, -1];
+
+/// Output array contents and profile of one host launch, or its fault.
+type Outcome = Result<(Vec<i64>, ProfileReport), SimError>;
+
+/// Allocates an app's arrays on an engine; returns the original launch
+/// arguments, the output array, and the output's initial contents.
+type Setup<'a> = &'a dyn Fn(&mut Engine) -> (Vec<i64>, ArrayId, Vec<i64>);
+
+/// One host launch of `cons` on a fresh engine, whose pool is zeroed.
+fn fresh_pool_outcome(cons: &Consolidated, setup: Setup, config: (u32, u32)) -> Outcome {
+    let mut e = engine();
+    let (args, out, _) = setup(&mut e);
+    let ids = install(&mut e, &cons.module).unwrap();
+    let mut prep = prepare_launch(&mut e, &cons.info, &ids, &args, config, POOL_WORDS)?;
+    reset_launch(&mut e, &mut prep)?;
+    let r = e.launch(prep.spec.clone())?;
+    Ok((e.mem.slice(out)?.to_vec(), r))
+}
+
+/// One host launch per [`POISON`] value through a single `PreparedLaunch`,
+/// filling the whole pool with that value before each `reset_launch`.
+fn poisoned_pool_outcomes(cons: &Consolidated, setup: Setup, config: (u32, u32)) -> Vec<Outcome> {
+    let mut e = engine();
+    let (args, out, init) = setup(&mut e);
+    let ids = install(&mut e, &cons.module).unwrap();
+    let mut prep = prepare_launch(&mut e, &cons.info, &ids, &args, config, POOL_WORDS).unwrap();
+    let pool = prep.pool.expect("grid-level launches get a pool");
+    POISON
+        .iter()
+        .map(|&garbage| {
+            e.mem.upload(out, &init)?;
+            e.mem.fill(pool, garbage)?;
+            reset_launch(&mut e, &mut prep)?;
+            let r = e.launch(prep.spec.clone())?;
+            Ok((e.mem.slice(out)?.to_vec(), r))
+        })
+        .collect()
+}
+
+/// Every poisoned-pool launch must equal the fresh-pool launch, output and
+/// profile (or fault) alike; returns the fresh-pool outcome.
+fn assert_poison_is_harmless(cons: &Consolidated, setup: Setup, config: (u32, u32)) -> Outcome {
+    let fresh = fresh_pool_outcome(cons, setup, config);
+    for (garbage, got) in POISON.iter().zip(poisoned_pool_outcomes(cons, setup, config)) {
+        assert_eq!(got, fresh, "pool poisoned with {garbage} changed the launch");
+    }
+    fresh
+}
+
+#[test]
+fn poisoned_pool_leaves_grid_scatter_unchanged() {
+    let n = 300;
+    let d = scatter_data(n);
+    let dir = Directive::parse("dp consldt(grid) work(id)").unwrap();
+    let cons =
+        consolidate(&scatter_module(), "expand_parent", &dir, &GpuConfig::k20c(), None).unwrap();
+    let setup = |e: &mut Engine| {
+        let deg = e.mem.alloc_array_init("deg", d.deg.clone());
+        let base = e.mem.alloc_array_init("base", d.base.clone());
+        let out = e.mem.alloc_array_init("out", vec![-1; d.total]);
+        (vec![deg as i64, base as i64, out as i64, n as i64, 32], out, vec![-1; d.total])
+    };
+    let (out, r) = assert_poison_is_harmless(&cons, &setup, ((n as u32).div_ceil(128), 128))
+        .expect("fresh-pool launch succeeds");
+    assert_eq!(out, scatter_expected(&d));
+    assert_eq!(r.device_launches, 1, "heavy items were buffered and consolidated");
+}
+
+/// A chain of `len` nodes in CSR layout: node `i` has the single child `i + 1`.
+fn chain_tree(len: i64) -> (Vec<i64>, Vec<i64>) {
+    let childptr = (0..len).chain([len - 1]).collect();
+    (childptr, (1..len).collect())
+}
+
+/// Grid-level recursion over the CSR tree `(cp, ch)` from `root`, through
+/// [`assert_poison_is_harmless`].
+fn grid_rec_poisoned(cp: Vec<i64>, ch: Vec<i64>, root: i64) -> Outcome {
+    let dir = Directive::parse(
+        "dp consldt(grid) buffer(custom, perBufferSize: 64, totalSize: 4096) work(c)",
+    )
+    .unwrap();
+    let cons = consolidate(&rec_module(), "treedesc", &dir, &GpuConfig::k20c(), None).unwrap();
+    let rootdeg = (cp[root as usize + 1] - cp[root as usize]) as u32;
+    let setup = |e: &mut Engine| {
+        let cp_h = e.mem.alloc_array_init("childptr", cp.clone());
+        let ch_h = e.mem.alloc_array_init("children", ch.clone());
+        let nd = e.mem.alloc_array("ndesc", 1);
+        (vec![cp_h as i64, ch_h as i64, nd as i64, root], nd, vec![0])
+    };
+    assert_poison_is_harmless(&cons, &setup, (1, rootdeg))
+}
+
+#[test]
+fn poisoned_pool_leaves_grid_recursion_unchanged() {
+    let (cp, ch, root, expected) = small_tree();
+    let (out, _) = grid_rec_poisoned(cp, ch, root).expect("fresh-pool launch succeeds");
+    assert_eq!(out, vec![expected]);
+
+    // Deep enough for a level at every nesting depth the device allows, so
+    // every level buffer's count word is inserted into.
+    let limit = GpuConfig::k20c().max_nesting_depth as i64;
+    let (cp, ch) = chain_tree(limit + 2);
+    let (out, r) = grid_rec_poisoned(cp, ch, 0).expect("fresh-pool launch succeeds");
+    assert_eq!(out, vec![limit + 1]);
+    assert_eq!(r.max_depth as i64, limit);
+
+    // One node deeper, the deepest level still inserts into the next
+    // level's buffer before its launch fails: the fault must not change.
+    let (cp, ch) = chain_tree(limit + 3);
+    let fault = grid_rec_poisoned(cp, ch, 0).expect_err("recursion exceeds the nesting limit");
+    assert!(matches!(fault, SimError::NestingTooDeep { .. }), "{fault:?}");
 }
