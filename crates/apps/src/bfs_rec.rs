@@ -7,12 +7,17 @@
 //! variants agree exactly. The flat variant is the classic Harish–Narayanan
 //! round-synchronous relaxation over all nodes.
 
+use std::hash::Hasher;
+
 use dpcons_core::{Directive, Granularity};
 use dpcons_ir::dsl::*;
 use dpcons_ir::Module;
 use dpcons_workloads::{reference, CsrGraph, INF};
 
-use crate::runner::{AppError, AppOutcome, Benchmark, RunConfig, Variant, VariantSession};
+use crate::runner::{
+    custom_pool_directive, hash_graph, AppError, AppOutcome, Benchmark, RunConfig, Variant,
+    VariantSession,
+};
 
 pub struct BfsRec {
     pub graph: CsrGraph,
@@ -122,18 +127,12 @@ impl BfsRec {
         m
     }
 
+    /// `#pragma dp consldt(g) buffer(custom, perBufferSize: 1024 or 4096,
+    /// totalSize: 2097152) work(vv)`.
     pub fn directive(g: Granularity) -> Directive {
-        Directive::parse(&format!(
-            "#pragma dp consldt({}) buffer(custom, perBufferSize: {}, totalSize: 2097152) work(vv)",
-            g.label(),
-            // A hub node's block can discover up to deg(hub) neighbors in
-            // one fetched item, so BFS buffers are sized for the heavy tail.
-            match g {
-                Granularity::Warp => 1024,
-                _ => 4096,
-            }
-        ))
-        .expect("static pragma parses")
+        // A hub node's block can discover up to deg(hub) neighbors in one
+        // fetched item, so BFS buffers are sized for the heavy tail.
+        custom_pool_directive(g, "vv", if g == Granularity::Warp { 1024 } else { 4096 })
     }
 }
 
@@ -173,7 +172,7 @@ impl Benchmark for BfsRec {
                         &[row as i64, col as i64, level as i64, flag as i64, n, round],
                         (grid, block),
                     )?;
-                    if s.read(flag)[0] == 0 {
+                    if s.read(flag)?[0] == 0 {
                         break;
                     }
                     round += 1;
@@ -192,7 +191,7 @@ impl Benchmark for BfsRec {
                 )?;
             }
         }
-        let out = s.read(level);
+        let out = s.read(level)?;
         Ok(s.finish(out, iters))
     }
 
@@ -206,6 +205,11 @@ impl Benchmark for BfsRec {
 
     fn reference(&self) -> Vec<i64> {
         reference::bfs_levels(&self.graph, self.src)
+    }
+
+    fn hash_inputs(&self, h: &mut dyn Hasher) {
+        hash_graph(h, &self.graph);
+        h.write_u64(self.src as u64);
     }
 }
 

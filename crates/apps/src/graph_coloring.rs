@@ -8,12 +8,16 @@
 //! order-independent and identical across variants. Requires a symmetric
 //! graph.
 
+use std::hash::Hasher;
+
 use dpcons_core::{Directive, Granularity};
 use dpcons_ir::dsl::*;
 use dpcons_ir::Module;
 use dpcons_workloads::{reference, CsrGraph};
 
-use crate::runner::{AppError, AppOutcome, Benchmark, RunConfig, Variant, VariantSession};
+use crate::runner::{
+    hash_graph, hash_words, AppError, AppOutcome, Benchmark, RunConfig, Variant, VariantSession,
+};
 
 pub struct GraphColoring {
     pub graph: CsrGraph,
@@ -161,9 +165,9 @@ impl GraphColoring {
         m
     }
 
+    /// `#pragma dp consldt(g) buffer(custom) work(u)`.
     pub fn directive(g: Granularity) -> Directive {
-        Directive::parse(&format!("#pragma dp consldt({}) buffer(custom) work(u)", g.label()))
-            .expect("static pragma parses")
+        Directive::new(g, &["u"])
     }
 }
 
@@ -220,7 +224,7 @@ impl Benchmark for GraphColoring {
                 &[color as i64, scratch as i64, pri as i64, flag as i64, n, round],
                 (grid, block),
             )?;
-            if s.read(flag)[0] == 0 {
+            if s.read(flag)?[0] == 0 {
                 break;
             }
             round += 1;
@@ -228,7 +232,7 @@ impl Benchmark for GraphColoring {
                 return Err(AppError::Driver("coloring failed to converge".to_string()));
             }
         }
-        let out = s.read(color);
+        let out = s.read(color)?;
         Ok(s.finish(out, round as u32 + 1))
     }
 
@@ -242,6 +246,11 @@ impl Benchmark for GraphColoring {
 
     fn reference(&self) -> Vec<i64> {
         reference::graph_coloring(&self.graph, &self.pri).0
+    }
+
+    fn hash_inputs(&self, h: &mut dyn Hasher) {
+        hash_graph(h, &self.graph);
+        hash_words(h, &self.pri);
     }
 }
 

@@ -16,6 +16,8 @@
 //! | [`tree_heights::TreeHeights`] | parallel recursion | tree datasets |
 //! | [`tree_descendants::TreeDescendants`] | parallel recursion | tree datasets |
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod bfs_rec;
 pub mod datasets;
 pub mod graph_coloring;
@@ -55,4 +57,36 @@ pub fn all_benchmarks(p: Profile) -> Vec<Box<dyn Benchmark>> {
         Box::new(TreeHeights::new(datasets::tree1(p))),
         Box::new(TreeDescendants::new(datasets::tree2(p))),
     ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dpcons_core::{Directive, Granularity};
+
+    #[test]
+    fn app_directives_are_their_pragmas() {
+        for g in Granularity::ALL {
+            let l = g.label();
+            let irregular = format!("#pragma dp consldt({l}) buffer(custom) work(u)");
+            let pool = |pbs: u64, var: &str| {
+                format!(
+                    "#pragma dp consldt({l}) buffer(custom, perBufferSize: {pbs}, \
+                     totalSize: 2097152) work({var})"
+                )
+            };
+            let warp = g == Granularity::Warp;
+            for (d, text) in [
+                (Sssp::directive(g), irregular.clone()),
+                (Spmv::directive(g), irregular.clone()),
+                (PageRank::directive(g), irregular.clone()),
+                (GraphColoring::directive(g), irregular.clone()),
+                (BfsRec::directive(g), pool(if warp { 1024 } else { 4096 }, "vv")),
+                (TreeHeights::directive(g), pool(if warp { 128 } else { 2048 }, "c")),
+                (TreeDescendants::directive(g), pool(if warp { 128 } else { 2048 }, "c")),
+            ] {
+                assert_eq!(Directive::parse(&text), Ok(d), "{text}");
+            }
+        }
+    }
 }

@@ -6,12 +6,16 @@
 //! kernel folding the accumulated contributions into the damped rank.
 //! Addition is associative in fixed point, so all variants agree exactly.
 
+use std::hash::Hasher;
+
 use dpcons_core::{Directive, Granularity};
 use dpcons_ir::dsl::*;
 use dpcons_ir::Module;
 use dpcons_workloads::{fixed, reference, CsrGraph};
 
-use crate::runner::{AppError, AppOutcome, Benchmark, RunConfig, Variant, VariantSession};
+use crate::runner::{
+    hash_graph, AppError, AppOutcome, Benchmark, RunConfig, Variant, VariantSession,
+};
 
 pub const DEFAULT_ITERS: u32 = 10;
 
@@ -151,9 +155,9 @@ impl PageRank {
         m
     }
 
+    /// `#pragma dp consldt(g) buffer(custom) work(u)`.
     pub fn directive(g: Granularity) -> Directive {
-        Directive::parse(&format!("#pragma dp consldt({}) buffer(custom) work(u)", g.label()))
-            .expect("static pragma parses")
+        Directive::new(g, &["u"])
     }
 }
 
@@ -201,7 +205,7 @@ impl Benchmark for PageRank {
                 (grid, block),
             )?;
         }
-        let out = s.read(rank);
+        let out = s.read(rank)?;
         Ok(s.finish(out, self.iters))
     }
 
@@ -215,6 +219,12 @@ impl Benchmark for PageRank {
 
     fn reference(&self) -> Vec<i64> {
         reference::pagerank(&self.graph, self.iters, self.alpha)
+    }
+
+    fn hash_inputs(&self, h: &mut dyn Hasher) {
+        hash_graph(h, &self.graph);
+        h.write_u64(self.iters as u64);
+        h.write_i64(self.alpha);
     }
 }
 

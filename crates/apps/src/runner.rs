@@ -9,6 +9,7 @@
 //! host launches, and merging per-launch profiles.
 
 use std::collections::HashMap;
+use std::hash::Hasher;
 use std::sync::{Arc, OnceLock};
 
 use dpcons_core::{
@@ -20,6 +21,7 @@ use dpcons_sim::{
     AllocKind, ArrayId, CaptureArena, Engine, ExecRecord, GpuConfig, KernelId, LaunchSpec,
     ProfileReport, SimError,
 };
+use dpcons_workloads::{CsrGraph, Tree};
 
 /// `app.host_launches` counter: every host-side kernel launch made through a
 /// [`VariantSession`], cached so the per-launch cost is one atomic add.
@@ -338,17 +340,17 @@ impl VariantSession {
                 LaunchSpec::new(id, config.0, config.1, args.to_vec())
             }
             Some(cons) => {
-                if self.prep.is_none() {
-                    self.prep = Some(prepare_launch(
+                let mut prep = match self.prep.take() {
+                    Some(prep) => prep,
+                    None => prepare_launch(
                         &mut self.engine,
                         &cons.info,
                         &self.ids,
                         args,
                         config,
                         self.cfg.pool_words,
-                    )?);
-                }
-                let mut prep = self.prep.take().expect("just set");
+                    )?,
+                };
                 reset_launch(&mut self.engine, &mut prep)?;
                 let spec = prep.spec.clone();
                 self.prep = Some(prep);
@@ -371,8 +373,8 @@ impl VariantSession {
         self.run_spec(LaunchSpec::new(id, config.0, config.1, args.to_vec()))
     }
 
-    pub fn read(&self, a: ArrayId) -> Vec<i64> {
-        self.engine.mem.slice(a).expect("valid array").to_vec()
+    pub fn read(&self, a: ArrayId) -> Result<Vec<i64>, AppError> {
+        Ok(self.engine.mem.slice(a)?.to_vec())
     }
 
     pub fn finish(self, output: Vec<i64>, host_iterations: u32) -> AppOutcome {
@@ -399,6 +401,51 @@ pub struct TuneModel {
     pub directive: fn(Granularity) -> Directive,
 }
 
+/// `#pragma dp consldt(g) buffer(custom, perBufferSize: pbs, totalSize:
+/// 2097152) work(var)`: the recursive apps' pragma, built field by field so
+/// it cannot fail to parse (the `lib.rs` tests pin every app's directive to
+/// its pragma text).
+pub(crate) fn custom_pool_directive(g: Granularity, var: &str, pbs: u64) -> Directive {
+    Directive {
+        per_buffer_size: Some(SizeSpec::Items(pbs)),
+        total_size: Some(2_097_152),
+        ..Directive::new(g, &[var])
+    }
+}
+
+/// Feed one host array to an input hasher: its length, then its words.
+/// [`Benchmark::hash_inputs`] uses this fixed word encoding, not the
+/// `std::hash::Hash` impls of collections, so a fingerprint stays the same
+/// across Rust versions.
+pub(crate) fn hash_words(h: &mut dyn Hasher, words: &[i64]) {
+    h.write_u64(words.len() as u64);
+    for &w in words {
+        h.write_i64(w);
+    }
+}
+
+/// Feed a CSR graph (size, row pointers, columns, optional weights).
+pub(crate) fn hash_graph(h: &mut dyn Hasher, g: &CsrGraph) {
+    h.write_u64(g.n as u64);
+    hash_words(h, &g.row_ptr);
+    hash_words(h, &g.col);
+    match &g.weight {
+        Some(w) => {
+            h.write_u8(1);
+            hash_words(h, w);
+        }
+        None => h.write_u8(0),
+    }
+}
+
+/// Feed a rooted tree (size, child pointers, children, root).
+pub(crate) fn hash_tree(h: &mut dyn Hasher, t: &Tree) {
+    h.write_u64(t.n as u64);
+    hash_words(h, &t.child_ptr);
+    hash_words(h, &t.children);
+    h.write_i64(t.root);
+}
+
 /// Shared interface for the seven benchmarks.
 pub trait Benchmark: Send + Sync {
     fn name(&self) -> &'static str;
@@ -409,6 +456,12 @@ pub trait Benchmark: Send + Sync {
     /// The exact expected output (CPU oracle).
     fn reference(&self) -> Vec<i64>;
 
+    /// Feed every host input of the app — its arrays and scalar
+    /// parameters — to `h`. Equal inputs feed equal streams, so this
+    /// identifies the dataset (the tuner's cache fingerprint) without
+    /// running the oracle.
+    fn hash_inputs(&self, h: &mut dyn Hasher);
+
     /// Static tuning model, when the app supports directive autotuning.
     fn tune_model(&self) -> Option<TuneModel> {
         None
@@ -416,6 +469,7 @@ pub trait Benchmark: Send + Sync {
 
     /// Run and check against the oracle; returns the profile on success.
     fn verify(&self, variant: Variant, cfg: &RunConfig) -> Result<ProfileReport, AppError> {
+        let _span = dpcons_obs::span("app.verify");
         let out = self.run(variant, cfg)?;
         let expected = self.reference();
         if out.output != expected {

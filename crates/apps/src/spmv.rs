@@ -5,12 +5,16 @@
 //! atomic adds (associative in fixed point, so every evaluation order gives
 //! identical results).
 
+use std::hash::Hasher;
+
 use dpcons_core::{Directive, Granularity};
 use dpcons_ir::dsl::*;
 use dpcons_ir::Module;
 use dpcons_workloads::{fixed, reference, CsrGraph};
 
-use crate::runner::{AppError, AppOutcome, Benchmark, RunConfig, Variant, VariantSession};
+use crate::runner::{
+    hash_graph, hash_words, AppError, AppOutcome, Benchmark, RunConfig, Variant, VariantSession,
+};
 
 pub struct Spmv {
     pub matrix: CsrGraph,
@@ -148,9 +152,9 @@ impl Spmv {
         m
     }
 
+    /// `#pragma dp consldt(g) buffer(custom) work(u)`.
     pub fn directive(g: Granularity) -> Directive {
-        Directive::parse(&format!("#pragma dp consldt({}) buffer(custom) work(u)", g.label()))
-            .expect("static pragma parses")
+        Directive::new(g, &["u"])
     }
 }
 
@@ -171,7 +175,10 @@ impl Benchmark for Spmv {
         )?;
         let row = s.alloc_array("row", g.row_ptr.clone());
         let col = s.alloc_array("col", g.col.clone());
-        let val = s.alloc_array("val", g.weight.clone().expect("values"));
+        let val = s.alloc_array(
+            "val",
+            g.weight.clone().ok_or(AppError::Driver("SpMV needs matrix values".into()))?,
+        );
         let x = s.alloc_array("x", self.x.clone());
         let y = s.alloc_array("y", vec![0; g.n]);
 
@@ -190,7 +197,7 @@ impl Benchmark for Spmv {
                 (grid, block),
             )?,
         }
-        let out = s.read(y);
+        let out = s.read(y)?;
         Ok(s.finish(out, 1))
     }
 
@@ -204,6 +211,11 @@ impl Benchmark for Spmv {
 
     fn reference(&self) -> Vec<i64> {
         reference::spmv(&self.matrix, &self.x)
+    }
+
+    fn hash_inputs(&self, h: &mut dyn Hasher) {
+        hash_graph(h, &self.matrix);
+        hash_words(h, &self.x);
     }
 }
 

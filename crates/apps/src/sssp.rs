@@ -7,12 +7,16 @@
 //! fixpoint (true shortest distances) is unique, so every variant converges
 //! to bit-identical output.
 
+use std::hash::Hasher;
+
 use dpcons_core::{Directive, Granularity};
 use dpcons_ir::dsl::*;
 use dpcons_ir::Module;
 use dpcons_workloads::{reference, CsrGraph, INF};
 
-use crate::runner::{AppError, AppOutcome, Benchmark, RunConfig, Variant, VariantSession};
+use crate::runner::{
+    hash_graph, AppError, AppOutcome, Benchmark, RunConfig, Variant, VariantSession,
+};
 
 pub struct Sssp {
     pub graph: CsrGraph,
@@ -151,9 +155,9 @@ impl Sssp {
         m
     }
 
+    /// `#pragma dp consldt(g) buffer(custom) work(u)`.
     pub fn directive(g: Granularity) -> Directive {
-        Directive::parse(&format!("#pragma dp consldt({}) buffer(custom) work(u)", g.label()))
-            .expect("static pragma parses")
+        Directive::new(g, &["u"])
     }
 }
 
@@ -174,7 +178,10 @@ impl Benchmark for Sssp {
         )?;
         let row = s.alloc_array("row", g.row_ptr.clone());
         let col = s.alloc_array("col", g.col.clone());
-        let wgt = s.alloc_array("wgt", g.weight.clone().expect("weighted"));
+        let wgt = s.alloc_array(
+            "wgt",
+            g.weight.clone().ok_or(AppError::Driver("SSSP needs edge weights".into()))?,
+        );
         let mut dist0 = vec![INF; g.n];
         dist0[self.src] = 0;
         let dist = s.alloc_array("dist", dist0);
@@ -184,7 +191,7 @@ impl Benchmark for Sssp {
         let block = 128u32;
         let grid = (g.n as u32).div_ceil(block).max(1);
         let mut iters = 0u32;
-        while s.read(flag)[0] != 0 {
+        while s.read(flag)?[0] != 0 {
             s.engine.mem.write(flag, 0, 0)?;
             let args: Vec<i64> = match variant {
                 Variant::Flat => {
@@ -209,7 +216,7 @@ impl Benchmark for Sssp {
                 return Err(AppError::Driver("SSSP failed to converge".to_string()));
             }
         }
-        let out = s.read(dist);
+        let out = s.read(dist)?;
         Ok(s.finish(out, iters))
     }
 
@@ -223,6 +230,11 @@ impl Benchmark for Sssp {
 
     fn reference(&self) -> Vec<i64> {
         reference::sssp(&self.graph, self.src)
+    }
+
+    fn hash_inputs(&self, h: &mut dyn Hasher) {
+        hash_graph(h, &self.graph);
+        h.write_u64(self.src as u64);
     }
 }
 

@@ -4,12 +4,17 @@
 //! global counter atomically; interior children recurse. TD is the benchmark
 //! the paper uses for the kernel-configuration study (Fig. 6).
 
+use std::hash::Hasher;
+
 use dpcons_core::{Directive, Granularity};
 use dpcons_ir::dsl::*;
 use dpcons_ir::Module;
 use dpcons_workloads::Tree;
 
-use crate::runner::{AppError, AppOutcome, Benchmark, RunConfig, Variant, VariantSession};
+use crate::runner::{
+    custom_pool_directive, hash_tree, AppError, AppOutcome, Benchmark, RunConfig, Variant,
+    VariantSession,
+};
 
 pub struct TreeDescendants {
     pub tree: Tree,
@@ -110,19 +115,13 @@ impl TreeDescendants {
         m
     }
 
+    /// `#pragma dp consldt(g) buffer(custom, perBufferSize: 128 or 2048,
+    /// totalSize: 2097152) work(c)`.
     pub fn directive(g: Granularity) -> Directive {
-        Directive::parse(&format!(
-            "#pragma dp consldt({}) buffer(custom, perBufferSize: {}, totalSize: 2097152) work(c)",
-            g.label(),
-            // Recursion self-balances: deep levels spread items over many
-            // kernels, so per-buffer counts stay small. Warp buffers follow
-            // the paper's totalThread-proportional prediction.
-            match g {
-                Granularity::Warp => 128,
-                _ => 2048,
-            }
-        ))
-        .expect("static pragma parses")
+        // Recursion self-balances: deep levels spread items over many
+        // kernels, so per-buffer counts stay small. Warp buffers follow the
+        // paper's totalThread-proportional prediction.
+        custom_pool_directive(g, "c", if g == Granularity::Warp { 128 } else { 2048 })
     }
 }
 
@@ -158,7 +157,7 @@ impl Benchmark for TreeDescendants {
                 let (mut cur, mut nxt) = (fa, fb);
                 iters = 0;
                 loop {
-                    let fcnt = s.read(cur)[0];
+                    let fcnt = s.read(cur)?[0];
                     if fcnt == 0 {
                         break;
                     }
@@ -182,7 +181,7 @@ impl Benchmark for TreeDescendants {
                 s.launch_entry("td_rec", &[cp as i64, ch as i64, nd as i64, t.root], (1, rootdeg))?;
             }
         }
-        let out = s.read(nd);
+        let out = s.read(nd)?;
         Ok(s.finish(out, iters))
     }
 
@@ -196,6 +195,10 @@ impl Benchmark for TreeDescendants {
 
     fn reference(&self) -> Vec<i64> {
         vec![self.tree.descendants()]
+    }
+
+    fn hash_inputs(&self, h: &mut dyn Hasher) {
+        hash_tree(h, &self.tree);
     }
 }
 

@@ -6,12 +6,17 @@
 //! level-synchronous traversal with explicit frontier arrays (the classic
 //! "flattened" form the paper compares against).
 
+use std::hash::Hasher;
+
 use dpcons_core::{Directive, Granularity};
 use dpcons_ir::dsl::*;
 use dpcons_ir::Module;
 use dpcons_workloads::Tree;
 
-use crate::runner::{AppError, AppOutcome, Benchmark, RunConfig, Variant, VariantSession};
+use crate::runner::{
+    custom_pool_directive, hash_tree, AppError, AppOutcome, Benchmark, RunConfig, Variant,
+    VariantSession,
+};
 
 pub struct TreeHeights {
     pub tree: Tree,
@@ -126,19 +131,13 @@ impl TreeHeights {
         m
     }
 
+    /// `#pragma dp consldt(g) buffer(custom, perBufferSize: 128 or 2048,
+    /// totalSize: 2097152) work(c)`.
     pub fn directive(g: Granularity) -> Directive {
-        Directive::parse(&format!(
-            "#pragma dp consldt({}) buffer(custom, perBufferSize: {}, totalSize: 2097152) work(c)",
-            g.label(),
-            // Recursion self-balances: deep levels spread items over many
-            // kernels, so per-buffer counts stay small. Warp buffers follow
-            // the paper's totalThread-proportional prediction.
-            match g {
-                Granularity::Warp => 128,
-                _ => 2048,
-            }
-        ))
-        .expect("static pragma parses")
+        // Recursion self-balances: deep levels spread items over many
+        // kernels, so per-buffer counts stay small. Warp buffers follow the
+        // paper's totalThread-proportional prediction.
+        custom_pool_directive(g, "c", if g == Granularity::Warp { 128 } else { 2048 })
     }
 
     fn run_flat(&self, s: &mut VariantSession) -> Result<(i64, u32), AppError> {
@@ -158,7 +157,7 @@ impl TreeHeights {
         let mut dpth = 0i64;
         let mut iters = 0u32;
         loop {
-            let fcnt = s.read(cur)[0];
+            let fcnt = s.read(cur)?[0];
             if fcnt == 0 {
                 break;
             }
@@ -177,7 +176,7 @@ impl TreeHeights {
                 return Err(AppError::Driver("flat traversal failed to terminate".into()));
             }
         }
-        Ok((s.read(height)[0], iters))
+        Ok((s.read(height)?[0], iters))
     }
 
     fn run_rec(&self, s: &mut VariantSession) -> Result<(i64, u32), AppError> {
@@ -187,7 +186,7 @@ impl TreeHeights {
         let height = s.alloc_array("height", vec![0]);
         let rootdeg = t.degree(t.root as usize).clamp(1, 256) as u32;
         s.launch_entry("th_rec", &[cp as i64, ch as i64, height as i64, t.root, 0], (1, rootdeg))?;
-        Ok((s.read(height)[0], 1))
+        Ok((s.read(height)?[0], 1))
     }
 }
 
@@ -222,6 +221,10 @@ impl Benchmark for TreeHeights {
 
     fn reference(&self) -> Vec<i64> {
         vec![self.tree.height()]
+    }
+
+    fn hash_inputs(&self, h: &mut dyn Hasher) {
+        hash_tree(h, &self.tree);
     }
 }
 

@@ -672,11 +672,13 @@ struct Scratch {
     masks: Vec<u32>,
     arena: Vec<LaunchSpec>,
     addrs: Vec<u64>,
+    /// Per-lane resolved sites (see `Vm::sites`).
+    sites: [(usize, usize); 32],
     block_allocs: HashMap<u32, (i64, i64)>,
-    /// Per-warp chunk traces of the block in flight; the buffers (and their
-    /// capacity) are recycled across blocks via `trace_pool`.
-    traces: Vec<Vec<Chunk>>,
-    trace_pool: Vec<Vec<Chunk>>,
+    /// The block's chunk traces, every warp appended in warp order, and each
+    /// warp's end offset into them (the layout [`assemble_block`] reads).
+    chunks: Vec<Chunk>,
+    ends: Vec<u32>,
 }
 
 thread_local! {
@@ -685,9 +687,10 @@ thread_local! {
         masks: Vec::new(),
         arena: Vec::new(),
         addrs: Vec::with_capacity(32),
+        sites: [(0, 0); 32],
         block_allocs: HashMap::new(),
-        traces: Vec::new(),
-        trace_pool: Vec::new(),
+        chunks: Vec::new(),
+        ends: Vec::new(),
     });
 }
 
@@ -726,11 +729,8 @@ fn run_block_with(
     }
     s.arena.clear();
     s.block_allocs.clear();
-    // Recycle last block's chunk buffers: emptied, capacity kept.
-    for mut t in s.traces.drain(..) {
-        t.clear();
-        s.trace_pool.push(t);
-    }
+    s.chunks.clear();
+    s.ends.clear();
     for w in 0..warps {
         // Variable slots start zeroed per warp (the tree walker's fresh
         // `env`); temporaries are always written before read and carry over.
@@ -738,7 +738,6 @@ fn run_block_with(
         let nlanes = (ctx.block_dim - w * ctx.warp_size).min(ctx.warp_size);
         let mask = if nlanes >= 32 { u32::MAX } else { (1u32 << nlanes) - 1 };
         let chunk_launch_start = s.arena.len() as u32;
-        let chunks = s.trace_pool.pop().unwrap_or_default();
         let mut vm = Vm {
             ctx,
             kname: &k.name,
@@ -748,21 +747,21 @@ fn run_block_with(
             masks: &mut s.masks,
             arena: &mut s.arena,
             addrs: &mut s.addrs,
+            sites: &mut s.sites,
+            scalar: None,
             block_allocs: &mut s.block_allocs,
             mask,
             returned: 0,
             iters: 0,
             cur: Chunk::default(),
             chunk_launch_start,
-            chunks,
-            sites: [(0, 0); 32],
+            chunks: &mut s.chunks,
         };
-        match vm.run(&bk.ops) {
-            Ok(()) => s.traces.push(vm.finish()),
-            Err(e) => return Err(e),
-        }
+        vm.run(&bk.ops)?;
+        vm.cut(Boundary::End);
+        s.ends.push(s.chunks.len() as u32);
     }
-    assemble_block(k, ctx, &s.traces, &s.arena)
+    assemble_block(k, ctx, &s.chunks, &s.ends, &s.arena)
 }
 
 struct Vm<'a, 'b, 'c> {
@@ -777,17 +776,22 @@ struct Vm<'a, 'b, 'c> {
     masks: &'c mut [u32],
     arena: &'c mut Vec<LaunchSpec>,
     addrs: &'c mut Vec<u64>,
+    /// Per-lane `(array, index)` pairs resolved by the last [`Vm::group_cost`]
+    /// call; `Load`/`Store`/`Atomic` reuse them via the validated accessors
+    /// instead of re-resolving (and re-bounds-checking) every lane. Only
+    /// written, and only read, when `scalar` is `None`.
+    sites: &'c mut [(usize, usize); 32],
+    /// The one cell every active lane addressed in the last `group_cost`,
+    /// when they all agreed: `Load` reads it once and `Store` writes it once.
+    scalar: Option<(usize, usize)>,
     block_allocs: &'c mut HashMap<u32, (i64, i64)>,
     mask: u32,
     returned: u32,
     iters: u64,
     cur: Chunk,
     chunk_launch_start: u32,
-    chunks: Vec<Chunk>,
-    /// Per-lane `(array, index)` pairs resolved by the last [`Vm::group_cost`]
-    /// call; `Load`/`Store`/`Atomic` reuse them via the validated accessors
-    /// instead of re-resolving (and re-bounds-checking) every lane.
-    sites: [(usize, usize); 32],
+    /// The block's flat chunk buffer; this warp appends to it.
+    chunks: &'c mut Vec<Chunk>,
 }
 
 /// Full-width binop over all 32 lanes, active or not. Sound for every op
@@ -851,11 +855,6 @@ impl Vm<'_, '_, '_> {
         SimError::KernelFault { kernel: self.kname.to_string(), message: message.into() }
     }
 
-    fn finish(mut self) -> Vec<Chunk> {
-        self.cut(Boundary::End);
-        self.chunks
-    }
-
     fn cut(&mut self, b: Boundary) {
         self.cur.boundary = b;
         self.cur.launches = (self.chunk_launch_start, self.arena.len() as u32);
@@ -873,6 +872,7 @@ impl Vm<'_, '_, '_> {
     fn group_cost(&mut self, h: u16, i: u16) -> Result<(), SimError> {
         let (hb, ib) = (h as usize, i as usize);
         self.addrs.clear();
+        self.scalar = None;
         // Warp-uniform handle (one array accessed by every active lane) is
         // the overwhelmingly common shape: resolve the array once and only
         // range-check each lane's index. Faults are constructed identically
@@ -899,7 +899,7 @@ impl Vm<'_, '_, '_> {
                 match usize::try_from(i0) {
                     Ok(idx) if idx < len => {
                         self.addrs.push(base + idx as u64);
-                        self.sites = [(a, idx); 32];
+                        self.scalar = Some((a, idx));
                     }
                     _ => {
                         return Err(SimError::OutOfBounds {
@@ -972,24 +972,38 @@ impl Vm<'_, '_, '_> {
         }
     }
 
-    /// Read the sites resolved by the last `group_cost` into `dst`.
+    /// Read the sites resolved by the last `group_cost` into `dst`. A
+    /// scalar site is read once and splatted full-width, like `Imm`: a
+    /// load's destination is always an expression temporary, whose inactive
+    /// lanes are never observed.
     #[inline]
     fn load_sites(&mut self, dst: u16) {
         let db = dst as usize;
-        for_lanes!(self.mask, l, {
-            let (a, idx) = self.sites[l];
-            self.regs[db][l] = self.ctx.mem.read_validated(a, idx);
-        });
+        if let Some((a, idx)) = self.scalar {
+            self.regs[db] = [self.ctx.mem.read_validated(a, idx); 32];
+        } else {
+            for_lanes!(self.mask, l, {
+                let (a, idx) = self.sites[l];
+                self.regs[db][l] = self.ctx.mem.read_validated(a, idx);
+            });
+        }
     }
 
     /// Write register `v` to the sites resolved by the last `group_cost`.
+    /// A scalar site is written once, with the highest active lane's value:
+    /// what the lane-ordered stores to one cell leave behind.
     #[inline]
     fn store_sites(&mut self, v: u16) {
         let vb = v as usize;
-        for_lanes!(self.mask, l, {
-            let (a, idx) = self.sites[l];
-            self.ctx.mem.write_validated(a, idx, self.regs[vb][l]);
-        });
+        if let Some((a, idx)) = self.scalar {
+            let last = 31 - self.mask.leading_zeros() as usize;
+            self.ctx.mem.write_validated(a, idx, self.regs[vb][last]);
+        } else {
+            for_lanes!(self.mask, l, {
+                let (a, idx) = self.sites[l];
+                self.ctx.mem.write_validated(a, idx, self.regs[vb][l]);
+            });
+        }
     }
 
     fn run(&mut self, ops: &[Op]) -> Result<(), SimError> {
@@ -1142,7 +1156,7 @@ impl Vm<'_, '_, '_> {
                     // `atomic_*` helpers, over the sites `group_cost` already
                     // resolved and bounds-checked.
                     for_lanes!(self.mask, l, {
-                        let (a, idx) = self.sites[l];
+                        let (a, idx) = self.scalar.unwrap_or(self.sites[l]);
                         let val = self.regs[vb][l];
                         let old = self.ctx.mem.read_validated(a, idx);
                         match op {

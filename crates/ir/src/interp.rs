@@ -29,8 +29,9 @@
 //!   implementation, kept as the one independent oracle and reachable only
 //!   through the process-wide [`set_engine_override`].
 //!
-//! Both funnel their warp traces through the same [`assemble_block`], so the
-//! segment/phase assembly cannot diverge between them.
+//! Both append their warp traces to one flat per-block chunk buffer and
+//! funnel it through the same [`assemble_block`], so the segment/phase
+//! assembly cannot diverge between them.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -343,7 +344,8 @@ fn run_block_tree(
     let warps = ctx.block_dim.div_ceil(ctx.warp_size);
     let mut block_allocs: HashMap<u32, (i64, i64)> = HashMap::new();
     let mut arena: Vec<LaunchSpec> = Vec::new();
-    let mut traces: Vec<Vec<Chunk>> = Vec::with_capacity(warps as usize);
+    let mut chunks: Vec<Chunk> = Vec::new();
+    let mut ends: Vec<u32> = Vec::with_capacity(warps as usize);
     for w in 0..warps {
         let nlanes = (ctx.block_dim - w * ctx.warp_size).min(ctx.warp_size);
         let mut exec = WarpExec {
@@ -352,7 +354,7 @@ fn run_block_tree(
             ids,
             warp: w,
             env: vec![[0i64; 32]; k.n_slots as usize],
-            chunks: Vec::new(),
+            chunks: &mut chunks,
             cur: Chunk::default(),
             chunk_launch_start: arena.len() as u32,
             arena: &mut arena,
@@ -363,9 +365,10 @@ fn run_block_tree(
         };
         let mask = if nlanes >= 32 { u32::MAX } else { (1u32 << nlanes) - 1 };
         exec.exec_block_body(mask)?;
-        traces.push(exec.finish());
+        exec.cut(Boundary::End);
+        ends.push(chunks.len() as u32);
     }
-    assemble_block(k, ctx, &traces, &arena)
+    assemble_block(k, ctx, &chunks, &ends, &arena)
 }
 
 struct WarpExec<'a, 'b, 'c> {
@@ -374,7 +377,8 @@ struct WarpExec<'a, 'b, 'c> {
     ids: &'a [KernelId],
     warp: u32,
     env: Vec<Lanes>,
-    chunks: Vec<Chunk>,
+    /// The block's flat chunk buffer; this warp appends to it.
+    chunks: &'c mut Vec<Chunk>,
     cur: Chunk,
     /// Arena index where the current chunk's launches began.
     chunk_launch_start: u32,
@@ -389,11 +393,6 @@ struct WarpExec<'a, 'b, 'c> {
 impl WarpExec<'_, '_, '_> {
     fn fault(&self, message: impl Into<String>) -> SimError {
         SimError::KernelFault { kernel: self.k.name.clone(), message: message.into() }
-    }
-
-    fn finish(mut self) -> Vec<Chunk> {
-        self.cut(Boundary::End);
-        self.chunks
     }
 
     fn cut(&mut self, b: Boundary) {
@@ -802,37 +801,55 @@ impl WarpExec<'_, '_, '_> {
 // Shared by both executors — segment/phase assembly cannot diverge.
 // ------------------------------------------------------------------------
 
+/// Assemble a block's segments from its warps' chunk traces. Both executors
+/// append every warp's chunks, in warp order, to one flat buffer: warp `w`
+/// owns `chunks[ends[w - 1]..ends[w]]` (from 0 for warp 0), ending with the
+/// `End` chunk cut when the warp finished. Every split below is index
+/// arithmetic over that buffer, so assembly allocates nothing beyond the
+/// recycled segment/launch storage.
 pub(crate) fn assemble_block(
     k: &CKernel,
     ctx: &mut BlockCtx<'_>,
-    traces: &[Vec<Chunk>],
+    chunks: &[Chunk],
+    ends: &[u32],
     arena: &[LaunchSpec],
 ) -> Result<BlockResult, SimError> {
     let warp_size = ctx.warp_size as u64;
     let sync_cost = ctx.cost.syncthreads_cycles;
+    let trace = |w: usize| {
+        let start = if w == 0 { 0 } else { ends[w - 1] as usize };
+        &chunks[start..ends[w] as usize]
+    };
+    let is_dsync = |c: &Chunk| c.boundary == Boundary::DeviceSync;
+    // Cycles of a run of sync-phase chunks, barriers between them included.
+    let span = |cycles: u64, phases: usize| cycles + sync_cost * phases.saturating_sub(1) as u64;
 
     // Segment structure is defined by the (single) warp that executed
     // `cudaDeviceSynchronize`; all other warps' work is attributed to
     // segment 0.
-    let syncing: Vec<usize> = traces
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| t.iter().any(|c| c.boundary == Boundary::DeviceSync))
-        .map(|(w, _)| w)
-        .collect();
-    if syncing.len() > 1 {
+    let mut syncing = 0usize;
+    let mut sync_warp = 0usize;
+    for w in 0..ends.len() {
+        if trace(w).iter().any(is_dsync) {
+            if syncing == 0 {
+                sync_warp = w;
+            }
+            syncing += 1;
+        }
+    }
+    if syncing > 1 {
         return Err(SimError::KernelFault {
             kernel: k.name.clone(),
             message: format!(
-                "cudaDeviceSynchronize executed by {} warps of one block; the \
-                 block-segmentation model supports at most one",
-                syncing.len()
+                "cudaDeviceSynchronize executed by {syncing} warps of one block; the \
+                 block-segmentation model supports at most one"
             ),
         });
     }
-    let sync_warp = syncing.first().copied().unwrap_or(0);
-    let w0_segments: Vec<Vec<&Chunk>> = split_segments(&traces[sync_warp]);
-    let nseg = w0_segments.len();
+    // The sync warp's trace splits after each device-sync chunk; the tail
+    // after the last one (at least the `End` chunk) is the final segment.
+    let sync_trace = trace(sync_warp);
+    let nseg = sync_trace.iter().filter(|c| is_dsync(c)).count() + 1;
     // Segment/launch buffers come from the capture arena's recycled pools:
     // once the arena is warm (second candidate onward) block assembly stops
     // allocating result storage entirely.
@@ -844,74 +861,54 @@ pub(crate) fn assemble_block(
 
     // Phase-aware duration for segment 0: align warp phases (chunks split at
     // Sync) when all warps agree on the phase count; otherwise fall back to
-    // the max total over warps.
-    let seg0_phases: Vec<Vec<&Chunk>> = traces
-        .iter()
-        .enumerate()
-        .map(|(w, t)| if w == sync_warp { w0_segments[0].clone() } else { t.iter().collect() })
-        .collect();
-    let aligned = seg0_phases.iter().all(|p| p.len() == seg0_phases[0].len());
-    let seg0_duration = if aligned {
-        let phases = seg0_phases[0].len();
-        let mut d = 0u64;
-        for p in 0..phases {
-            d += seg0_phases.iter().map(|w| w[p].cycles).max().unwrap_or(0);
-        }
-        d + sync_cost * phases.saturating_sub(1) as u64
+    // the max total over warps. The sync warp contributes only its segment-0
+    // chunks (up to and including its first device-sync chunk).
+    let sync_seg0 = sync_trace.iter().position(is_dsync).map_or(sync_trace.len(), |p| p + 1);
+    let seg0 = |w: usize| if w == sync_warp { &sync_trace[..sync_seg0] } else { trace(w) };
+    let phases = seg0(0).len();
+    segments[0].duration = if (0..ends.len()).all(|w| seg0(w).len() == phases) {
+        let d = (0..phases)
+            .map(|p| (0..ends.len()).map(|w| seg0(w)[p].cycles).max().unwrap_or(0))
+            .sum();
+        span(d, phases)
     } else {
-        seg0_phases
-            .iter()
+        (0..ends.len())
             .map(|w| {
-                w.iter().map(|c| c.cycles).sum::<u64>()
-                    + sync_cost * w.len().saturating_sub(1) as u64
+                let t = seg0(w);
+                span(t.iter().map(|c| c.cycles).sum(), t.len())
             })
             .max()
             .unwrap_or(0)
     };
-    segments[0].duration = seg0_duration;
 
-    // Aggregate warp metrics into segments.
-    for (w, trace) in traces.iter().enumerate() {
-        let segs: Vec<Vec<&Chunk>> =
-            if w == sync_warp { split_segments(trace) } else { vec![trace.iter().collect()] };
-        for (si, chunks) in segs.iter().enumerate() {
-            let seg = &mut segments[si.min(nseg - 1)];
-            for c in chunks {
-                seg.warp_cycles_sum += c.cycles;
-                seg.active_thread_cycles += c.active;
-                seg.thread_cycles_possible += c.cycles * warp_size;
-                seg.dram_transactions += c.dram;
-                let (ls, le) = c.launches;
-                seg.launches.extend_from_slice(&arena[ls as usize..le as usize]);
+    // Aggregate warp metrics into segments, in warp then chunk order (the
+    // launch order of each segment). Only the sync warp has device-sync
+    // chunks, so only it advances past segment 0 — and its later segments
+    // take their duration and sync flag from it alone.
+    for w in 0..ends.len() {
+        let (mut si, mut cycles, mut len) = (0usize, 0u64, 0usize);
+        for c in trace(w) {
+            let seg = &mut segments[si];
+            seg.warp_cycles_sum += c.cycles;
+            seg.active_thread_cycles += c.active;
+            seg.thread_cycles_possible += c.cycles * warp_size;
+            seg.dram_transactions += c.dram;
+            let (ls, le) = c.launches;
+            seg.launches.extend_from_slice(&arena[ls as usize..le as usize]);
+            cycles += c.cycles;
+            len += 1;
+            if is_dsync(c) {
+                seg.ends_with_device_sync = true;
+                if si > 0 {
+                    seg.duration = span(cycles, len);
+                }
+                (si, cycles, len) = (si + 1, 0, 0);
             }
         }
-    }
-
-    // Durations and sync flags for segments after the first (warp 0 only).
-    for (si, chunks) in w0_segments.iter().enumerate() {
         if si > 0 {
-            segments[si].duration = chunks.iter().map(|c| c.cycles).sum::<u64>()
-                + sync_cost * chunks.len().saturating_sub(1) as u64;
+            segments[si].duration = span(cycles, len);
         }
-        segments[si].ends_with_device_sync =
-            chunks.last().is_some_and(|c| c.boundary == Boundary::DeviceSync);
     }
 
     Ok(BlockResult { segments })
-}
-
-/// Split a warp trace into device-sync segments of sync-phase chunks.
-fn split_segments(trace: &[Chunk]) -> Vec<Vec<&Chunk>> {
-    let mut out: Vec<Vec<&Chunk>> = Vec::new();
-    let mut cur: Vec<&Chunk> = Vec::new();
-    for c in trace {
-        cur.push(c);
-        if c.boundary == Boundary::DeviceSync {
-            out.push(std::mem::take(&mut cur));
-        }
-    }
-    if !cur.is_empty() || out.is_empty() {
-        out.push(cur);
-    }
-    out
 }

@@ -10,12 +10,22 @@
 //!    clamped to 0 and then surface as a misleading
 //!    `BadLaunchConfig: "grid and block dimensions must be nonzero"`; they
 //!    now raise a typed `KernelFault` naming the kernel, lane, and value.
+//!
+//! The `*_agree_*` cases pin the VM's fast paths against the oracle: a group
+//! whose active lanes all address one cell (read once and splatted, or
+//! written once with the highest active lane's value), and block assembly
+//! over the flat chunk buffer (unaligned `__syncthreads` phases, launches in
+//! two device-sync segments, the two-warp device-sync fault). Each must
+//! leave identical memory and an identical `ExecRecord` DAG and profile, or
+//! raise the identical fault, on both executors.
 
 use dpcons_ir::dsl::*;
 use std::sync::{Mutex, PoisonError};
 
 use dpcons_ir::{install, set_engine_override, ExecEngine, Module};
-use dpcons_sim::{AllocKind, Engine, GpuConfig, LaunchSpec, SimError};
+use dpcons_sim::{
+    AllocKind, CaptureArena, Engine, ExecRecord, GpuConfig, LaunchSpec, ProfileReport, SimError,
+};
 
 const ENGINES: [ExecEngine; 2] = [ExecEngine::Bytecode, ExecEngine::Tree];
 
@@ -147,5 +157,152 @@ fn cas_without_desired_value_faults_identically_in_both_engines() {
             }
             other => panic!("{engine:?}: expected KernelFault, got {other:?}"),
         }
+    }
+}
+
+/// What one host launch leaves behind on one executor: the `out` array, and
+/// the profile plus captured DAG or the fault.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    out: Vec<i64>,
+    run: Result<(ProfileReport, Vec<ExecRecord>), SimError>,
+}
+
+/// Launch `kernel(out)` over `out` initialised to `init` on both executors,
+/// assert the two outcomes are identical, and return it.
+fn agree(m: &Module, kernel: &str, grid: u32, block: u32, init: Vec<i64>) -> Outcome {
+    let [vm, tree] = ENGINES.map(|engine| {
+        let mut eng = Engine::new(GpuConfig::tiny(), AllocKind::PreAlloc, 1 << 12);
+        let out = eng.mem.alloc_array_init("out", init.clone());
+        let ids = install(&mut eng, m).unwrap();
+        let mut arena = CaptureArena::new();
+        let run = {
+            let _guard = ENGINE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+            set_engine_override(Some(engine));
+            let spec = LaunchSpec::new(ids[kernel], grid, block, vec![out as i64]);
+            let r = eng.capture_into(spec, &mut arena);
+            set_engine_override(None);
+            r
+        };
+        Outcome {
+            out: eng.mem.slice(out).unwrap().to_vec(),
+            run: run.map(|report| (report, arena.take_records())),
+        }
+    });
+    assert_eq!(vm, tree, "bytecode VM and tree walker diverged on `{kernel}`");
+    vm
+}
+
+#[test]
+fn one_cell_stores_keep_the_highest_active_lane_and_agree() {
+    let mut m = Module::new();
+    // Every lane stores its own value to cell 0 (lane-ordered stores leave
+    // the highest active lane's value), and the odd/even halves of a
+    // divergent `if` each store to their own cell.
+    m.add(KernelBuilder::new("all").array("out").body(vec![store(
+        v("out"),
+        i(0),
+        add(tid(), i(100)),
+    )]));
+    m.add(KernelBuilder::new("split").array("out").body(vec![if_(
+        eq(rem(tid(), i(2)), i(0)),
+        vec![store(v("out"), i(0), add(tid(), i(100)))],
+        vec![store(v("out"), i(1), add(tid(), i(200)))],
+    )]));
+    for (kernel, block, want) in [
+        ("all", 32, [131, -1]),
+        ("all", 20, [119, -1]),
+        ("all", 64, [163, -1]),
+        ("split", 32, [130, 231]),
+        ("split", 20, [118, 219]),
+    ] {
+        let o = agree(&m, kernel, 1, block, vec![-1, -1]);
+        o.run.as_ref().unwrap_or_else(|e| panic!("{kernel}/{block}: {e}"));
+        assert_eq!(o.out, want, "{kernel}/{block}");
+    }
+}
+
+#[test]
+fn uniform_address_load_under_a_partial_mask_agrees() {
+    // Lanes 0..7 of a 20-lane warp all read cell 0 and copy it out; the
+    // other lanes leave their cells alone.
+    let mut m = Module::new();
+    m.add(KernelBuilder::new("k").array("out").body(vec![when(
+        lt(tid(), i(7)),
+        vec![store(v("out"), add(tid(), i(1)), add(load(v("out"), i(0)), tid()))],
+    )]));
+    let o = agree(&m, "k", 1, 20, [vec![40], vec![0; 20]].concat());
+    o.run.as_ref().unwrap();
+    let want: Vec<i64> = [vec![40], (40..47).collect(), vec![0; 13]].concat();
+    assert_eq!(o.out, want);
+}
+
+#[test]
+fn atomic_add_from_every_lane_to_one_cell_agrees() {
+    // Lane l adds l + 1 to cell 0 and records the value it saw: atomics
+    // serialize in lane order, so lane l sees the sum of 1..=l.
+    let mut m = Module::new();
+    m.add(KernelBuilder::new("k").array("out").body(vec![
+        atomic_add(Some("old"), v("out"), i(0), add(tid(), i(1))),
+        store(v("out"), add(tid(), i(1)), v("old")),
+    ]));
+    for block in [32u32, 20] {
+        let o = agree(&m, "k", 1, block, vec![0; 33]);
+        o.run.as_ref().unwrap();
+        let n = block as i64;
+        assert_eq!(o.out[0], n * (n + 1) / 2, "block {block}");
+        for l in 0..n {
+            assert_eq!(o.out[l as usize + 1], l * (l + 1) / 2, "block {block}, lane {l}");
+        }
+    }
+}
+
+#[test]
+fn unaligned_sync_phases_and_two_segment_launches_agree() {
+    let mut m = Module::new();
+    m.add(KernelBuilder::new("child").array("out").body(vec![atomic_add(
+        None,
+        v("out"),
+        i(0),
+        i(1),
+    )]));
+    // Warp 0 runs two `__syncthreads` phases, warp 1 one: the phase counts
+    // differ, so segment 0 takes the max-total fallback duration.
+    m.add(KernelBuilder::new("phases").array("out").body(vec![
+        compute(add(tid(), i(1))),
+        when(lt(tid(), i(32)), vec![sync(), compute(i(9))]),
+        store(v("out"), add(tid(), i(1)), tid()),
+    ]));
+    // Warp 1 (not warp 0) launches a child, device-syncs, then launches two
+    // more: the block has two segments, both issuing launches.
+    m.add(KernelBuilder::new("segments").array("out").body(vec![
+        compute(i(3)),
+        when(eq(tid(), i(32)), vec![launch("child", i(1), i(1), vec![v("out")]), device_sync()]),
+        when(ge(tid(), i(62)), vec![launch("child", i(1), i(2), vec![v("out")])]),
+    ]));
+    let o = agree(&m, "phases", 1, 64, vec![0; 65]);
+    o.run.as_ref().unwrap();
+    let o = agree(&m, "segments", 1, 64, vec![0; 1]);
+    let (_, records) = o.run.as_ref().unwrap();
+    let segs = &records[0].blocks[0].segments;
+    assert_eq!(segs.len(), 2, "one device sync splits the block in two");
+    assert!(segs[0].ends_with_device_sync && !segs[1].ends_with_device_sync);
+    assert_eq!((segs[0].launches.len(), segs[1].launches.len()), (1, 2));
+    assert_eq!(o.out, [1 + 2 * 2]);
+}
+
+#[test]
+fn device_sync_in_two_warps_of_one_block_faults_identically() {
+    let mut m = Module::new();
+    m.add(
+        KernelBuilder::new("k").array("out").body(vec![store(v("out"), i(0), i(5)), device_sync()]),
+    );
+    let o = agree(&m, "k", 1, 64, vec![0]);
+    match o.run {
+        Err(SimError::KernelFault { kernel, message }) => {
+            assert_eq!(kernel, "k");
+            assert!(message.contains("executed by 2 warps"), "{message}");
+        }
+        other => panic!("expected KernelFault, got {other:?}"),
     }
 }

@@ -198,28 +198,61 @@ pub fn take_spans() -> Vec<SpanRec> {
     out
 }
 
+/// Self time of every span, in input order: its duration minus the part
+/// its direct children on the same thread cover. Children are found from
+/// each thread's open order (`seq`) and nesting depth; a child whose parent
+/// was dropped to ring overflow is charged to no one.
+fn self_times(spans: &[SpanRec]) -> Vec<u64> {
+    let mut order: Vec<usize> = (0..spans.len()).collect();
+    order.sort_by_key(|&i| (spans[i].tid, spans[i].seq));
+    let mut self_us: Vec<u64> = spans.iter().map(|s| s.dur_us).collect();
+    // Open ancestors of the current span on the current thread.
+    let mut stack: Vec<usize> = Vec::new();
+    for &i in &order {
+        let s = &spans[i];
+        while let Some(&top) = stack.last() {
+            let t = &spans[top];
+            if t.tid == s.tid && t.depth < s.depth {
+                break;
+            }
+            stack.pop();
+        }
+        if let Some(&parent) = stack.last() {
+            if spans[parent].depth + 1 == s.depth {
+                self_us[parent] = self_us[parent].saturating_sub(s.dur_us);
+            }
+        }
+        stack.push(i);
+    }
+    self_us
+}
+
 /// Aggregate spans by name into a human stage-timing table: calls, total
-/// and mean self-reported duration, sorted by total descending.
+/// duration, self time (total minus what nested spans on the same thread
+/// cover) and mean duration, sorted by total descending.
 pub fn stage_summary(spans: &[SpanRec]) -> String {
-    let mut agg: std::collections::BTreeMap<&'static str, (u64, u64)> =
+    let mut agg: std::collections::BTreeMap<&'static str, (u64, u64, u64)> =
         std::collections::BTreeMap::new();
-    for s in spans {
-        let e = agg.entry(s.name).or_insert((0, 0));
+    for (s, own) in spans.iter().zip(self_times(spans)) {
+        let e = agg.entry(s.name).or_insert((0, 0, 0));
         e.0 += 1;
         e.1 += s.dur_us;
+        e.2 += own;
     }
-    let mut rows: Vec<(&'static str, u64, u64)> =
-        agg.into_iter().map(|(n, (c, t))| (n, c, t)).collect();
+    let mut rows: Vec<(&'static str, u64, u64, u64)> =
+        agg.into_iter().map(|(n, (c, t, o))| (n, c, t, o)).collect();
     rows.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(b.0)));
     let width = rows.iter().map(|r| r.0.len()).max().unwrap_or(0).max(5);
     let mut out = String::new();
     out.push_str(&format!(
-        "{:<width$}  {:>8}  {:>12}  {:>12}\n",
-        "stage", "calls", "total_us", "mean_us"
+        "{:<width$}  {:>8}  {:>12}  {:>12}  {:>12}\n",
+        "stage", "calls", "total_us", "self_us", "mean_us"
     ));
-    for (name, calls, total) in rows {
+    for (name, calls, total, own) in rows {
         let mean = total as f64 / calls as f64;
-        out.push_str(&format!("{name:<width$}  {calls:>8}  {total:>12}  {mean:>12.1}\n"));
+        out.push_str(&format!(
+            "{name:<width$}  {calls:>8}  {total:>12}  {own:>12}  {mean:>12.1}\n"
+        ));
     }
     out
 }
@@ -284,5 +317,42 @@ mod tests {
         assert!(lines[1].starts_with('a'));
         assert!(lines[1].contains("40"));
         assert!(lines[2].starts_with('b'));
+    }
+
+    #[test]
+    fn self_time_subtracts_direct_children_on_the_same_thread() {
+        let rec = |name, tid, depth, seq, start_us, dur_us| SpanRec {
+            name,
+            arg: None,
+            tid,
+            depth,
+            seq,
+            start_us,
+            dur_us,
+        };
+        // Thread 0: outer [0, 100) holds mid [10, 30) and mid [40, 70); the
+        // second mid holds leaf [45, 55). A later top-level outer [100, 120)
+        // has no children. Thread 1's spans overlap in time but are charged
+        // only to each other.
+        let spans = vec![
+            rec("leaf", 0, 2, 3, 45, 10),
+            rec("outer", 0, 0, 0, 0, 100),
+            rec("mid", 0, 1, 1, 10, 20),
+            rec("mid", 0, 1, 2, 40, 30),
+            rec("outer", 0, 0, 4, 100, 20),
+            rec("other", 1, 0, 0, 0, 90),
+            rec("leaf", 1, 1, 1, 5, 80),
+        ];
+        assert_eq!(self_times(&spans), [10, 50, 20, 20, 20, 10, 80]);
+        // Columns: stage, calls, total_us, self_us, mean_us.
+        let table = stage_summary(&spans);
+        let row = |name: &str| -> Vec<String> {
+            let line = table.lines().find(|l| l.split_whitespace().next() == Some(name));
+            line.unwrap().split_whitespace().map(str::to_string).collect()
+        };
+        assert_eq!(row("outer")[1..4], ["2", "120", "70"]);
+        assert_eq!(row("mid")[1..4], ["2", "50", "40"]);
+        assert_eq!(row("leaf")[1..4], ["2", "90", "90"]);
+        assert_eq!(row("other")[1..4], ["1", "90", "10"]);
     }
 }

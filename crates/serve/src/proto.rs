@@ -168,8 +168,8 @@ fn required_str<'v>(v: &'v Value, key: &str) -> Result<&'v str, ServeError> {
 
 /// Parse a `POST /tune` or `POST /fleet` body into an admitted [`JobSpec`].
 ///
-/// This runs the app's CPU oracle once to compute the dataset fingerprint —
-/// the same fingerprint the sweep would compute — so the returned `key` is
+/// This hashes the app's host inputs into the dataset fingerprint — the
+/// same fingerprint the sweep computes — so the returned `key` is
 /// byte-identical to the one the sweep stores its report under.
 pub fn parse_request(kind: JobKind, body: &str, limits: &Limits) -> Result<JobSpec, ServeError> {
     let v = dpcons_obs::jsonv::parse(body)

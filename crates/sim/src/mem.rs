@@ -180,10 +180,17 @@ impl GlobalMem {
         self.arrays[id].data[idx]
     }
 
-    /// Direct write counterpart of [`Self::read_validated`].
+    /// Direct write counterpart of [`Self::read_validated`]. A store that
+    /// leaves the cell unchanged does not write it: large zeroed arrays (the
+    /// device heap) come from the allocator as untouched zero pages, and a
+    /// zero stored into one would fault in and clear a private page for
+    /// nothing. Memory contents are identical either way.
     #[inline]
     pub fn write_validated(&mut self, id: ArrayId, idx: usize, v: i64) {
-        self.arrays[id].data[idx] = v;
+        let cell = &mut self.arrays[id].data[idx];
+        if *cell != v {
+            *cell = v;
+        }
     }
 
     /// Borrow an array's contents (host-side readback).

@@ -60,6 +60,28 @@ impl Fnv64 {
     }
 }
 
+/// The `std::hash::Hasher` interface benchmarks feed their inputs through
+/// ([`dpcons_apps::Benchmark::hash_inputs`]). Words are hashed as
+/// little-endian bytes, like [`Fnv64::write_u64`], so a fingerprint does not
+/// depend on the platform's byte order.
+impl std::hash::Hasher for Fnv64 {
+    fn write(&mut self, bytes: &[u8]) {
+        Fnv64::write(self, bytes);
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        Fnv64::write_u64(self, v);
+    }
+
+    fn write_i64(&mut self, v: i64) {
+        Fnv64::write_u64(self, v as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 impl Default for Fnv64 {
     fn default() -> Self {
         Fnv64::new()

@@ -146,7 +146,7 @@ impl FleetCandidate {
 #[derive(Debug, Clone)]
 pub struct FleetReport {
     pub app: String,
-    /// Dataset fingerprint (hash of the app's oracle output).
+    /// Dataset fingerprint (hash of the app name and its host inputs).
     pub fingerprint: u64,
     /// Full cache key (app + dataset + run config + space + budget + fleet).
     pub key: u64,

@@ -69,7 +69,7 @@ impl CandidateOutcome {
 pub struct TuneReport {
     pub app: String,
     pub gpu: String,
-    /// Dataset fingerprint (hash of the app's oracle output).
+    /// Dataset fingerprint (hash of the app name and its host inputs).
     pub fingerprint: u64,
     /// Full cache key (app + dataset + device + space + budget).
     pub key: u64,

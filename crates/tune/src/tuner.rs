@@ -251,17 +251,14 @@ pub(crate) fn run_waves<S>(
     }
 }
 
-/// Hash of the app's oracle output: identifies (app, dataset) pairs without
-/// any per-app plumbing, since the oracle is a deterministic function of the
-/// dataset.
+/// Dataset fingerprint: a hash of the app's name and its host inputs
+/// ([`Benchmark::hash_inputs`]). Datasets that differ in any input get
+/// different fingerprints even when their oracle outputs agree (every tree
+/// of one height has the same `TH` output), and no oracle runs.
 pub fn fingerprint(app: &dyn Benchmark) -> u64 {
-    let r = app.reference();
     let mut h = Fnv64::new();
     h.write_str(app.name());
-    h.write_u64(r.len() as u64);
-    for v in r {
-        h.write_u64(v as u64);
-    }
+    app.hash_inputs(&mut h);
     h.finish()
 }
 

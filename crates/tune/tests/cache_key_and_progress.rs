@@ -5,15 +5,18 @@
 //!    them can never disagree with the disk cache.
 //! 2. The `WaveHook` progress callback reports every evaluated wave, in
 //!    order, and its per-wave counts sum to exactly the evaluated candidates.
+//! 3. The dataset fingerprint tells apart datasets whose oracle outputs
+//!    agree, and is stable for one dataset built twice.
 
 use std::sync::Mutex;
 
-use dpcons_apps::{datasets, Profile, RunConfig, Sssp};
+use dpcons_apps::{datasets, Benchmark, Profile, RunConfig, Sssp, TreeHeights};
 use dpcons_sim::GpuConfig;
 use dpcons_tune::{
     cache_key_for, fingerprint, fleet_cache_key_for, fleet_sweep_with_progress, tune_with_progress,
     Budget, FleetOptions, TuneOptions, WaveHook, WaveProgress,
 };
+use dpcons_workloads::{generate_tree, TreeParams};
 
 fn app() -> Sssp {
     Sssp::new(datasets::citeseer(Profile::Test).with_weights(15, 0xD15), 0)
@@ -167,4 +170,23 @@ fn fleet_wave_progress_arrives_in_order_and_sums_to_candidates() {
     let report = fleet_sweep_with_progress(&app, &opts, &hook).unwrap();
     let waves = seen.lock().unwrap();
     check_progress(&waves, report.functional_runs as usize);
+}
+
+#[test]
+fn fingerprint_separates_datasets_with_equal_oracle_outputs() {
+    let th = |seed| TreeHeights::new(generate_tree(TreeParams::dataset1_scaled(4, 9, seed)));
+    let (a, b) = (th(0x7E31), th(0x51DE));
+    // Two trees of one height but different shape: the same `TH` output,
+    // so a fingerprint of the oracle output could not tell them apart.
+    assert_ne!(a.tree, b.tree);
+    assert_eq!(a.reference(), b.reference());
+    let (base, space, budget) = (RunConfig::default(), space(), Budget::default());
+    let key =
+        |app: &TreeHeights| cache_key_for("TH", fingerprint(app), &base, &space, &budget, false);
+    assert_ne!(fingerprint(&a), fingerprint(&b));
+    assert_ne!(key(&a), key(&b));
+    // The same dataset built twice is one cache entry.
+    let again = th(0x7E31);
+    assert_eq!(fingerprint(&a), fingerprint(&again));
+    assert_eq!(key(&a), key(&again));
 }
